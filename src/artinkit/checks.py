@@ -52,7 +52,8 @@ class CheckVerdict:
         params = " ".join(f"{k}={v}" for k, v in self.parameters)
         lines = [f"{self.check}: {self.status} ({params})"]
         if self.truncated:
-            lines.append("  note: enumeration truncated at the cycle cap")
+            cap = "sample" if self.check == "order" else "cycle"
+            lines.append(f"  note: enumeration truncated at the {cap} cap")
         for w in self.witnesses[:20]:
             lines.append(f"  witness: {w}")
         if len(self.witnesses) > 20:
@@ -214,8 +215,8 @@ def check_labeled_4wheel(ball, tree=None, max_cycles=DEFAULT_MAX_CYCLES):
     if unfilled:
         status = UNRESOLVED
         witnesses = tuple(unfilled)
-    elif not scan.cycles and _inner_radius(ball) < 1:
-        # nothing found, but the ball is too thin to mean anything
+    elif scan.truncated or (not scan.cycles and _inner_radius(ball) < 1):
+        # the cap cut the scan short, or the ball is too thin to mean anything
         status = UNRESOLVED
         witnesses = ()
     else:
@@ -307,7 +308,8 @@ def linear_order(ball, orientation, sample_cap=4000):
     # gradedness on rank gaps of 2: a midpoint exists below the margin
     gap_pairs = [(x, y) for (x, y) in sorted(pairs)
                  if rank[ball.vertex(y).type] - rank[ball.vertex(x).type] == 2]
-    if len(gap_pairs) > sample_cap:
+    truncated = len(gap_pairs) > sample_cap
+    if truncated:
         step = len(gap_pairs) // sample_cap + 1
         gap_pairs = gap_pairs[::step]
     for x, y in gap_pairs:
@@ -317,13 +319,17 @@ def linear_order(ball, orientation, sample_cap=4000):
                 and rank[ball.vertex(z).type] == mid_rank]
         if not mids:
             problems.append(("gradedness", x, y))
-    status = COUNTEREXAMPLE if problems else VERIFIED
+    # a sampled gradedness check proves nothing about the unsampled pairs
+    if problems:
+        status = COUNTEREXAMPLE
+    else:
+        status = UNRESOLVED if truncated else VERIFIED
     verdict = CheckVerdict(
         check="order", status=status,
         parameters=_params(ball, orientation="<".join(orientation),
                            ordered_pairs=len(pairs),
                            graded_samples=len(gap_pairs)),
-        witnesses=tuple(sorted(problems)),
+        witnesses=tuple(sorted(problems)), truncated=truncated,
     )
     return LinearOrderResult(
         orientation=orientation, pairs=frozenset(pairs), verdict=verdict)
@@ -406,7 +412,7 @@ def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
     if unresolved:
         status = UNRESOLVED
         witnesses = tuple(unresolved)
-    elif not bowties and _inner_radius(ball) < 1:
+    elif truncated or (not bowties and _inner_radius(ball) < 1):
         status = UNRESOLVED
         witnesses = ()
     else:

@@ -91,6 +91,14 @@ class ComplexBall:
         if type_name not in self.type_parabolic:
             raise KeyError(f"unknown vertex type {type_name!r}")
         t = ga.table(self.ambient)
+        if not self._keys:
+            # balls rebuilt from JSON carry no keys: derive them once
+            self._keys = {
+                (v.type, t.coset_key(ga._raw(t, v.witness),
+                                     self.type_parabolic[v.type],
+                                     self._shift)): v.id
+                for v in self.vertices
+            }
         raw = ga._raw(t, g)
         if raw[0] + 2 * self._shift < 0:
             return None
@@ -394,31 +402,21 @@ def build_coxeter_complex(d):
 
     if not dynkin.is_spherical(d):
         raise NotSpherical("Coxeter complex requires a spherical diagram")
-    elems = cx.enumerate_group(d, ga.MAX_TABLE)
+    en = cx.engine(d).enumerate(ga.MAX_TABLE)
     gens = d.vertices
-
-    def coset_reps(T):
-        reps = {}
-        for x in elems:
-            r = cx.gate_projection(x, T, "right")
-            reps.setdefault(r.gate.word, len(reps))
-        return reps
-
+    n = len(en.words)
+    # a coset first appears at its minimal element, so ids follow ShortLex
+    reps = {s: en.coset_minima(set(gens) - {s}) for s in gens}
     vertices = []
     vid_of = {}
     for s in gens:
-        T = set(gens) - {s}
-        for rep, _ in sorted(coset_reps(T).items(), key=lambda kv: kv[1]):
-            vid = len(vertices)
-            vid_of[(s, rep)] = vid
-            vertices.append((vid, s, rep))
+        for x in range(n):
+            if reps[s][x] == x:
+                vid_of[(s, x)] = len(vertices)
+                vertices.append((len(vertices), s, en.words[x]))
     edges = set()
-    for x in elems:
-        row = []
-        for s in gens:
-            T = set(gens) - {s}
-            rep = cx.gate_projection(x, T, "right").gate.word
-            row.append(vid_of[(s, rep)])
+    for x in range(n):
+        row = [vid_of[(s, reps[s][x])] for s in gens]
         for i in range(len(row)):
             for j in range(i + 1, len(row)):
                 a, b = row[i], row[j]
@@ -431,14 +429,15 @@ def build_coxeter_complex(d):
     chi = 0
     for size in range(1, len(gens) + 1):
         for K in combinations(gens, size):
-            T = set(gens) - set(K)
-            chi += (-1) ** (size - 1) * len(coset_reps(T))
+            rep = en.coset_minima(set(gens) - set(K))
+            cosets = sum(1 for x in range(n) if rep[x] == x)
+            chi += (-1) ** (size - 1) * cosets
     if len(gens) <= 4 and len(gens) >= 1:
         want = 2 if (len(gens) - 1) % 2 == 0 else 0
         assert chi == want, f"Euler characteristic {chi} != {want}"
     return CoxeterComplex(
         group=d, vertices=tuple(vertices), edges=tuple(sorted(edges)),
-        chamber_count=len(elems), euler_characteristic=chi,
+        chamber_count=n, euler_characteristic=chi,
     )
 
 
@@ -470,22 +469,23 @@ def apartment_cycle(d, types=None, base=None):
     types = [s for s in d.vertices if s in set(types)]
     if base is None:
         base = ga.identity(d)
-    elems = cx.enumerate_group(d, ga.MAX_TABLE)
+    en = cx.engine(d).enumerate(ga.MAX_TABLE)
     gens = d.vertices
+    reps = {s: en.coset_minima(set(gens) - {s}) for s in types}
     verts = []
     vid_of = {}
     rows = []
-    for x in elems:
+    for x in range(len(en.words)):
         row = []
         for s in types:
-            T = set(gens) - {s}
-            rep = cx.gate_projection(x, T, "right").gate.word
-            key = (s, rep)
+            key = (s, reps[s][x])
             vid = vid_of.get(key)
             if vid is None:
                 vid = len(verts)
                 vid_of[key] = vid
-                witness = ga.multiply(base, ga.from_letters(d, "".join(rep)))
+                rep = en.words[reps[s][x]]
+                witness = ga.multiply(
+                    base, ga.from_letters(d, [(g, 1) for g in rep]))
                 verts.append((s, witness))
             row.append(vid)
         rows.append(row)

@@ -1,11 +1,27 @@
 """Exact computation in Coxeter groups presented by Dynkin diagrams.
 
 Elements are canonical ShortLex-minimal reduced words (tuples of generator
-names); the generator order is the diagram's vertex declaration order.  The
-word problem is solved by Tits rewriting: a word is shortened by scanning its
-braid-move closure for an adjacent equal pair, and a reduced word is
-canonicalized as the ShortLex minimum of its closure.  Exponential in the
-worst case, exact always; fine at the ranks this package targets.
+names); the generator order is the diagram's vertex declaration order.
+
+The word problem is solved in an exact geometric representation (Casselman,
+"Computation in Coxeter groups I: Multiplication", 2002).  Each label gets
+Cartan entries (a_st, a_ts), s declared before t: 3 → (−1, −1),
+4 → (−2, −1), 5 → (−φ, −φ), 6 → (−3, −1), ∞ → (−2, −2), and 0 for commuting
+pairs.  The generator s acts on coordinate vectors by y_s ↦ −y_s and
+y_t ↦ y_t − a_st·y_s; by Vinberg (1971) this is a faithful reflection
+representation even when the entries are not symmetric or the diagram has
+cycles.  Coordinates are ints, or pairs (a, b) = a + bφ with φ² = φ + 1 when
+some label is 5, so equality and sign tests are exact.
+
+An element w is represented by y = w·f0, where f0 = (1, …, 1); t is a left
+descent of w exactly when y_t < 0.  Peeling off the least left descent until
+none is left spells the lex-least reduced word, which is the ShortLex form.
+Enumeration runs right multiplication on w⁻¹·f0 breadth-first and yields
+index tables (right multiplication, parent and last letter of each word).
+Infinite groups work the same way up to the enumeration cap.
+
+Diagrams with a label outside {2, 3, 4, 5, 6, ∞} keep the braid-move closure
+word problem (Tits rewriting): exponential in the worst case, exact always.
 
 Engines (memo tables) are cached per diagram and grow monotonically; writes
 are idempotent, so concurrent readers in one process observe serial behavior.
@@ -43,16 +59,237 @@ class GateResult:
     distance: int
 
 
+# Cartan entries (a_st, a_ts) per label for s declared before t, as pairs
+# (a, b) = a + bφ; the integer engine reads the a parts only.
+_CARTAN = {
+    3: ((-1, 0), (-1, 0)),
+    4: ((-2, 0), (-1, 0)),
+    5: ((0, -1), (0, -1)),
+    6: ((-3, 0), (-1, 0)),
+    INFINITY: ((-2, 0), (-2, 0)),
+}
+
+
+def _phi_negative(v):
+    """Exact sign test a + bφ < 0, from 2(a + bφ) = (2a + b) + b√5."""
+    a, b = v
+    x = 2 * a + b
+    if x <= 0 and b <= 0:
+        return x < 0 or b < 0
+    if x >= 0 and b >= 0:
+        return False
+    return x * x > 5 * b * b if x < 0 else 5 * b * b > x * x
+
+
+def _int_negative(v):
+    return v < 0
+
+
+@dataclass(frozen=True)
+class Enumeration:
+    """ShortLex enumeration of W with its index tables.
+
+    words[i] is the i-th canonical word (index 0 is the identity);
+    rmul[i][k] is the index of words[i]·gens[k]; parent[i] and last[i] are
+    the index of words[i][:-1] and the position of its last letter (-1 for
+    the identity), well defined because ShortLex forms are prefix-closed.
+    """
+
+    gens: tuple
+    words: list
+    rmul: list
+    parent: list
+    last: list
+
+    def coset_minima(self, T):
+        """rep[x] = index of the minimal element of the coset x·W_T.
+
+        x is minimal iff no right descent of x lies in T; otherwise x·s is
+        shorter for such a descent s, lies in the same coset and comes
+        earlier in ShortLex order.
+        """
+        ks = [k for k, s in enumerate(self.gens) if s in T]
+        length = [len(w) for w in self.words]
+        rep = []
+        for x, row in enumerate(self.rmul):
+            for k in ks:
+                y = row[k]
+                if length[y] < length[x]:
+                    rep.append(rep[y])
+                    break
+            else:
+                rep.append(x)
+        return rep
+
+
 class _Engine:
-    """Per-diagram rewriting engine with memoized right multiplication."""
+    """Per-diagram engine on the geometric representation, with memoized
+    right multiplication."""
 
     def __init__(self, diagram):
         self.d = diagram
-        self.rank = {s: i for i, s in enumerate(diagram.vertices)}
+        self.gens = diagram.vertices
+        self.rank = {s: i for i, s in enumerate(self.gens)}
         self._rmult = {}
+        golden = any(m == 5 for _, _, m in diagram.edges)
+        # nbrs[i] = [(j, a_ij)] over the generators j that do not commute with i
+        self._nbrs = [[] for _ in self.gens]
+        for u, v, m in diagram.edges:
+            a_uv, a_vu = _CARTAN[m]
+            if not golden:
+                a_uv, a_vu = a_uv[0], a_vu[0]
+            i, j = self.rank[u], self.rank[v]
+            self._nbrs[i].append((j, a_uv))
+            self._nbrs[j].append((i, a_vu))
+        self._f0 = ((1, 0) if golden else 1,) * len(self.gens)
+        self._negative = _phi_negative if golden else _int_negative
+        self._reflect = self._reflect_phi if golden else self._reflect_int
 
     def key(self, word):
         return tuple(self.rank[s] for s in word)
+
+    def _indices(self, word):
+        rank = self.rank
+        for s in word:
+            if s not in rank:
+                raise UnknownGenerator(f"{s!r} is not a generator")
+        return [rank[s] for s in word]
+
+    # s_i acts by y_i -> -y_i and y_j -> y_j - a_ij·y_i, in place
+    def _reflect_int(self, y, i):
+        v = y[i]
+        y[i] = -v
+        for j, a in self._nbrs[i]:
+            y[j] -= a * v
+
+    def _reflect_phi(self, y, i):
+        a, b = y[i]
+        y[i] = (-a, -b)
+        for j, (p, q) in self._nbrs[i]:
+            c, d = y[j]
+            # (p + qφ)(a + bφ) = (pa + qb) + (pb + qa + qb)φ since φ² = φ + 1
+            y[j] = (c - p * a - q * b, d - p * b - q * (a + b))
+
+    def canonical(self, word):
+        """ShortLex canonical form of an arbitrary word.
+
+        Computes y = w·f0 letter by letter from the right, then peels off
+        the least left descent (the lowest-rank negative coordinate) until
+        none is left; the peeled letters spell the lex-least reduced word.
+        """
+        y = list(self._f0)
+        for i in reversed(self._indices(word)):
+            self._reflect(y, i)
+        negative, gens = self._negative, self.gens
+        out = []
+        while True:
+            for i, v in enumerate(y):
+                if negative(v):
+                    break
+            else:
+                return tuple(out)
+            out.append(gens[i])
+            self._reflect(y, i)
+
+    def rmult(self, word, s):
+        """Canonical form of (canonical word) * s."""
+        memo = self._rmult
+        hit = memo.get((word, s))
+        if hit is None:
+            hit = self.canonical(word + (s,))
+            memo[(word, s)] = hit
+        return hit
+
+    # enumeration state of w: w⁻¹·f0, on which right multiplication by s_k
+    # is the reflection s_k, and equal states mean equal elements
+    def _start(self):
+        return self._f0
+
+    def _right(self, state, k):
+        z = list(state)
+        self._reflect(z, k)
+        return tuple(z)
+
+    def lmult(self, s, word):
+        return self.canonical((s,) + word)
+
+    def mult(self, u, v):
+        out = u
+        for s in v:
+            out = self.rmult(out, s)
+        return out
+
+    def inv(self, word):
+        return self.canonical(tuple(reversed(word)))
+
+    def is_right_descent(self, word, s):
+        return len(self.rmult(word, s)) < len(word)
+
+    def is_left_descent(self, s, word):
+        return len(self.lmult(s, word)) < len(word)
+
+    def right_descents(self, word):
+        return frozenset(
+            s for s in self.d.vertices if self.is_right_descent(word, s)
+        )
+
+    def enumerate(self, cap):
+        """ShortLex enumeration with index tables; CapExceeded if |W| > cap.
+
+        Breadth-first in index order: the first arrival at an element, from
+        the ShortLex-ordered previous layer and generators in rank order,
+        spells its lex-least reduced word.
+        """
+        start = self._start()
+        index = {start: 0}
+        states = [start]
+        words, parent, last, rmul = [()], [-1], [-1], []
+        i = 0
+        while i < len(words):
+            row = []
+            for k, s in enumerate(self.gens):
+                state = self._right(states[i], k)
+                j = index.get(state)
+                if j is None:
+                    j = len(words)
+                    if j >= cap:
+                        raise CapExceeded(cap)
+                    index[state] = j
+                    states.append(state)
+                    words.append(words[i] + (s,))
+                    parent.append(i)
+                    last.append(k)
+                row.append(j)
+            rmul.append(row)
+            i += 1
+        return Enumeration(self.gens, words, rmul, parent, last)
+
+    def longest_parabolic(self, T):
+        """Longest element of W_T by greedy ascent inside the parabolic."""
+        w = ()
+        while True:
+            for s in T:
+                u = self.rmult(w, s)
+                if len(u) > len(w):
+                    w = u
+                    break
+            else:
+                return w
+
+
+class _ClosureEngine(_Engine):
+    """Braid-move closure word problem, for labels outside {2,…,6, ∞}.
+
+    Tits rewriting: a word is shortened by scanning its braid-move closure
+    for an adjacent equal pair, and a reduced word is canonicalized as the
+    ShortLex minimum of its closure. Exponential in the worst case.
+    """
+
+    def __init__(self, diagram):
+        self.d = diagram
+        self.gens = diagram.vertices
+        self.rank = {s: i for i, s in enumerate(self.gens)}
+        self._rmult = {}
 
     # braid moves: replace an alternating (s,t,...) run of length m(s,t)
     # by the (t,s,...) run; these preserve length and generate all reduced
@@ -87,16 +324,13 @@ class _Engine:
         return seen
 
     def canonical(self, word):
-        """ShortLex canonical form of an arbitrary word."""
+        self._indices(word)
         out = ()
         for s in word:
-            if s not in self.rank:
-                raise UnknownGenerator(f"{s!r} is not a generator")
             out = self.rmult(out, s)
         return out
 
     def rmult(self, word, s):
-        """Canonical form of (canonical word) * s."""
         memo = self._rmult
         hit = memo.get((word, s))
         if hit is not None:
@@ -116,76 +350,11 @@ class _Engine:
         memo[(word, s)] = result
         return result
 
-    def lmult(self, s, word):
-        return self.canonical((s,) + word)
+    def _start(self):
+        return ()
 
-    def mult(self, u, v):
-        out = u
-        for s in v:
-            out = self.rmult(out, s)
-        return out
-
-    def inv(self, word):
-        return self.canonical(tuple(reversed(word)))
-
-    def is_right_descent(self, word, s):
-        return len(self.rmult(word, s)) < len(word)
-
-    def is_left_descent(self, s, word):
-        return len(self.lmult(s, word)) < len(word)
-
-    def right_descents(self, word):
-        return frozenset(
-            s for s in self.d.vertices if self.is_right_descent(word, s)
-        )
-
-    def left_descents(self, word):
-        return frozenset(
-            s for s in self.d.vertices if self.is_left_descent(s, word)
-        )
-
-    def enumerate(self, cap):
-        """All canonical words in ShortLex order; CapExceeded if |W| > cap."""
-        seen = {()}
-        order = [()]
-        layer = [()]
-        while layer:
-            found = set()
-            for w in layer:
-                for s in self.d.vertices:
-                    u = self.rmult(w, s)
-                    if len(u) > len(w) and u not in seen:
-                        seen.add(u)
-                        found.add(u)
-                        if len(seen) > cap:
-                            raise CapExceeded(cap)
-            layer = sorted(found, key=self.key)
-            order.extend(layer)
-        return order
-
-    def longest(self):
-        """Greedy ascent to the maximal element (assumes finiteness)."""
-        w = ()
-        while True:
-            for s in self.d.vertices:
-                u = self.rmult(w, s)
-                if len(u) > len(w):
-                    w = u
-                    break
-            else:
-                return w
-
-    def longest_parabolic(self, T):
-        """Longest element of W_T by greedy ascent inside the parabolic."""
-        w = ()
-        while True:
-            for s in T:
-                u = self.rmult(w, s)
-                if len(u) > len(w):
-                    w = u
-                    break
-            else:
-                return w
+    def _right(self, state, k):
+        return self.rmult(state, self.gens[k])
 
 
 _ENGINES = {}
@@ -194,7 +363,8 @@ _ENGINES = {}
 def engine(d):
     eng = _ENGINES.get(d)
     if eng is None:
-        eng = _Engine(d)
+        geometric = all(m in _CARTAN for _, _, m in d.edges)
+        eng = (_Engine if geometric else _ClosureEngine)(d)
         _ENGINES[d] = eng
     return eng
 
@@ -219,13 +389,13 @@ def inverse(x):
 
 def enumerate_group(d, cap):
     """All elements in ShortLex order; CapExceeded when |W| > cap."""
-    return [CoxeterElement(d, w) for w in engine(d).enumerate(cap)]
+    return [CoxeterElement(d, w) for w in engine(d).enumerate(cap).words]
 
 
 def longest_element(d):
     if not is_spherical(d):
         raise NotSpherical("longest element requires a spherical diagram")
-    return CoxeterElement(d, engine(d).longest())
+    return CoxeterElement(d, engine(d).longest_parabolic(d.vertices))
 
 
 def support(x):

@@ -47,17 +47,22 @@ class GarsideTable:
         self.d = d
         eng = cx.engine(d)
         self.eng = eng
-        words = eng.enumerate(cap=MAX_TABLE)
+        en = eng.enumerate(cap=MAX_TABLE)
+        words = en.words
         self.words = words
         self.idx = {w: i for i, w in enumerate(words)}
         self.n = len(words)
         self.length = [len(w) for w in words]
         self.gen = {s: self.idx[(s,)] for s in d.vertices}
         self.gens = [self.gen[s] for s in d.vertices]
-        self.mul = [
-            [self.idx[eng.mult(u, v)] for v in words] for u in words
-        ]
-        self.inv = [self.idx[eng.inv(w)] for w in words]
+        # column v of mul is column parent(v) followed by the letter last(v)
+        by_gen = [list(col) for col in zip(*en.rmul)]
+        cols = [list(range(self.n))]
+        for v in range(1, self.n):
+            cols.append(list(map(
+                by_gen[en.last[v]].__getitem__, cols[en.parent[v]])))
+        self.mul = [list(row) for row in zip(*cols)]
+        self.inv = [row.index(0) for row in self.mul]
         self.w0i = max(range(self.n), key=lambda i: self.length[i])
         w0 = self.w0i
         self.tau = [self.mul[self.mul[w0][x]][w0] for x in range(self.n)]
@@ -76,16 +81,20 @@ class GarsideTable:
         self.supp = [
             sum(1 << gi[s] for s in set(w)) for w in words
         ]
-        # left/right divisor bitsets for brute meets
+        # left/right divisor bitsets for brute meets, in ShortLex order: u
+        # is a prefix of w iff u = w or u is a prefix of w·s for a right
+        # descent s, and dually for suffixes and left descents
         self.ldivs = [0] * self.n
         self.rdivs = [0] * self.n
         for w in range(self.n):
-            lw = self.length[w]
-            for u in range(self.n):
-                if self.length[u] + self.length[self.mul[self.inv[u]][w]] == lw:
-                    self.ldivs[w] |= 1 << u
-                if self.length[self.mul[w][self.inv[u]]] + self.length[u] == lw:
-                    self.rdivs[w] |= 1 << u
+            ld = rd = 1 << w
+            for i, g in enumerate(self.gens):
+                if self.rdesc[w] >> i & 1:
+                    ld |= self.ldivs[en.rmul[w][i]]
+                if self.ldesc[w] >> i & 1:
+                    rd |= self.rdivs[self.mul[g][w]]
+            self.ldivs[w] = ld
+            self.rdivs[w] = rd
         self.by_length_desc = sorted(
             range(self.n), key=lambda i: -self.length[i]
         )
@@ -507,7 +516,7 @@ def _positive_letters(p):
     assert p.is_positive()
     letters = []
     for _ in range(p.delta_power):
-        letters.extend(cx.engine(p.group).longest())
+        letters.extend(cx.engine(p.group).longest_parabolic(p.group.vertices))
     for f in p.factors:
         letters.extend(f.underlying.word)
     return letters

@@ -76,6 +76,16 @@ def test_4cycle_cap_sets_truncated_flag():
     assert scan.truncated
 
 
+def test_truncated_scans_are_unresolved():
+    b = ball(A3, ["a", "b", "c"], 4)
+    wheel = ck.check_labeled_4wheel(b, max_cycles=5)
+    assert wheel.truncated and wheel.status == ck.UNRESOLVED
+    assert wheel.witnesses == ()
+    bowtie = ck.check_bowtie_free(b, ["a", "b", "c"], max_bowties=3)
+    assert bowtie.truncated and bowtie.status == ck.UNRESOLVED
+    assert "truncated at the cycle cap" in bowtie.render()
+
+
 def test_4wheel_a3_all_cycles_get_b_fillers():
     b = ball(A3, ["a", "b", "c"], 4)
     v = ck.check_labeled_4wheel(b)
@@ -130,6 +140,16 @@ def test_linear_order_frozen_and_axioms():
             assert mids
             chains += 1
     assert chains
+
+
+def test_linear_order_sampled_gradedness_is_unresolved():
+    b = ball(A3, ["a", "b", "c"], 5)
+    full = ck.linear_order(b, ["a", "b", "c"]).verdict
+    assert full.status == ck.VERIFIED and not full.truncated
+    sampled = ck.linear_order(b, ["a", "b", "c"], sample_cap=1).verdict
+    assert sampled.status == ck.UNRESOLVED and sampled.truncated
+    assert sampled.parameter("graded_samples") == 1
+    assert "truncated at the sample cap" in sampled.render()
 
 
 def test_linear_order_rejects_bad_orientations():

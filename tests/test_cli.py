@@ -7,6 +7,7 @@ and byte-level output stability are exercised exactly as a shell sees them.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,14 @@ def test_bowtie_small_bound_unresolved(dyn):
     assert r.returncode == 1
     assert r.stdout.startswith("bowtie: UNRESOLVED")
     assert "nontrivial=0" in r.stdout
+
+
+def test_bowtie_truncated_scan_exits1():
+    a3 = str(Path(__file__).parent / "corpus" / "a3.dyn")
+    r = run("check", "bowtie", a3, "--bound", "5", "--max-cycles", "3")
+    assert r.returncode == 1
+    assert r.stdout.startswith("bowtie: UNRESOLVED")
+    assert "truncated" in r.stdout
 
 
 def test_order_verified(dyn):

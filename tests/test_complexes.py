@@ -257,6 +257,16 @@ def test_apartment_translated_by_base():
     assert len(set(loc)) == 8
 
 
+def test_apartment_multi_letter_generators():
+    d = dynkin.path_diagram(["s1", "s2", "s3"], [4, 3])
+    ap = cpx.apartment_cycle(d)
+    cc = cpx.build_coxeter_complex(d)
+    assert (len(ap.vertices), len(ap.edges)) == (26, 72)
+    assert sorted(s for _, s, _ in cc.vertices) == sorted(
+        s for s, _ in ap.vertices)
+    assert len(cc.edges) == 72
+
+
 def test_apartment_a3_ac_has_alternating_4cycles():
     ap = cpx.apartment_cycle(A3, ["a", "c"])
     assert (len(ap.vertices), len(ap.edges)) == (8, 12)
@@ -419,6 +429,15 @@ def test_json_export_shape_and_roundtrip():
         == [(v.id, v.type, ga.serialize(v.witness)) for v in b.vertices]
     assert back.edges == b.edges
     assert back.inner == b.inner
+
+
+def test_locate_after_json_roundtrip():
+    b = cpx.build_ball(A2, ["a", "b"], 3)
+    back = cpx.ball_from_json(A2, b.to_json_str())
+    v = b.vertices[3]
+    assert back.locate(v.witness, v.type) == 3
+    for v in b.vertices:
+        assert back.locate(v.witness, v.type) == v.id
 
 
 def test_dot_export_mentions_every_vertex_and_edge():

@@ -1,5 +1,7 @@
+import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +228,89 @@ def test_pair_gate_projection_composition_is_identity():
         back = {y: x for x, y in pairs}
         for x, y in pairs:
             assert back[y] == x
+
+
+# -- geometric engine ----------------------------------------------------------
+
+CORPUS = Path(__file__).parent / "corpus"
+
+
+def _poincare(degrees):
+    """Coefficients of prod_i (1 + q + ... + q^(d_i - 1)): lengths per level."""
+    series = [1]
+    for k in degrees:
+        nxt = [0] * (len(series) + k - 1)
+        for i, c in enumerate(series):
+            for j in range(k):
+                nxt[i + j] += c
+        series = nxt
+    return series
+
+
+def test_rank4_length_profiles_from_degrees():
+    cases = [
+        (dy.path_diagram("abcd", [4, 3, 3]), (2, 4, 6, 8)),
+        (dy.path_diagram("abcd", [3, 4, 3]), (2, 6, 8, 12)),
+    ]
+    for d, degrees in cases:
+        elems = cx.enumerate_group(d, 2000)
+        assert len(elems) == math.prod(degrees)
+        hist = Counter(x.length for x in elems)
+        assert [hist[i] for i in range(max(hist) + 1)] == _poincare(degrees)
+        assert cx.longest_element(d).length == sum(k - 1 for k in degrees)
+
+
+def test_closure_engine_on_i2_7_matches_oracle():
+    d = dy.diagram("ab", [("a", "b", 7)])
+    model = oracles.model_I2(7, "ab")
+    assert isinstance(cx.engine(d), cx._ClosureEngine)
+    elems = cx.enumerate_group(d, 100)
+    assert [x.word for x in elems] == sorted(
+        (model.word[x] for x in model.elements),
+        key=lambda wd: (len(wd), wd))
+    rng = random.Random(77)
+    for _ in range(120):
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 16)))
+        assert nf(d, word).word == model.word[model.prod(tuple(word))]
+
+
+def _cycle_diagrams():
+    out = []
+    for path in sorted(CORPUS.glob("*.dyn")):
+        d = dy.parse_diagram(path.read_text())
+        cyclic = d.is_connected() and all(
+            d.degree(v) == 2 for v in d.vertices)
+        if cyclic and set(m for _, _, m in d.edges) & {4, 5, 6, dy.INFINITY}:
+            out.append(d)
+    return out
+
+
+def test_geometric_engine_on_cycle_diagrams():
+    diagrams = _cycle_diagrams()
+    assert len(diagrams) >= 5
+    # and one cycle with an infinite label, which the corpus lacks
+    diagrams.append(dy.cycle_diagram("abc", [3, dy.INFINITY, 4]))
+    rng = random.Random(4321)
+    for d in diagrams:
+        gens = d.vertices
+        mgraph = oracles.diagram_mgraph(gens, list(d.edges))
+        for _ in range(40):
+            word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 14)))
+            x = nf(d, word)
+            assert nf(d, x.word) == x
+            # random braid moves and inserted squares keep the element
+            variant = word
+            for _ in range(6):
+                moves = oracles.braid_moves(variant, mgraph)
+                if moves and rng.random() < 0.7:
+                    variant = rng.choice(moves)
+                else:
+                    i = rng.randint(0, len(variant))
+                    s = rng.choice(gens)
+                    variant = variant[:i] + (s, s) + variant[i:]
+            assert nf(d, variant) == x, (d.vertices, word, variant)
+            # multiplying by a generator changes the length by exactly one
+            for s in gens:
+                xs = cx.multiply(x, nf(d, s))
+                assert abs(xs.length - x.length) == 1
+                assert cx.multiply(xs, nf(d, s)) == x

@@ -362,3 +362,24 @@ def test_table_cap():
         ga.table(h4)
     with pytest.raises(NotSpherical):
         ga.table(dy.cycle_diagram("abc", [3, 3, 3]))
+
+
+def test_table_matches_word_multiplication():
+    # the index-built tables against word multiplication and the divisor
+    # definitions, on an integer and a Z[φ] diagram
+    for d in (B3, dy.path_diagram("abc", [5, 3])):
+        t = ga.table(d)
+        eng = t.eng
+        for u, wu in enumerate(t.words):
+            for v, wv in enumerate(t.words):
+                assert t.mul[u][v] == t.idx[eng.mult(wu, wv)]
+            assert t.words[t.inv[u]] == eng.inv(wu)
+        for w in range(t.n):
+            lw = t.length[w]
+            ldivs = rdivs = 0
+            for u in range(t.n):
+                if t.length[u] + t.length[t.mul[t.inv[u]][w]] == lw:
+                    ldivs |= 1 << u
+                if t.length[t.mul[w][t.inv[u]]] + t.length[u] == lw:
+                    rdivs |= 1 << u
+            assert (t.ldivs[w], t.rdivs[w]) == (ldivs, rdivs)
