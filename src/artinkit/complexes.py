@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from multiprocessing import get_context
 
 from . import dynkin
@@ -21,6 +22,7 @@ from . import garside as ga
 from .errors import (
     BoundTooLarge,
     InvalidFolding,
+    InvariantViolated,
     NotSpherical,
     VertexNotInner,
 )
@@ -57,7 +59,7 @@ class ComplexBall:
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.inner = frozenset(inner)
-        self._edge_witness = dict(edge_witness)
+        self._edge_witness = dict(edge_witness)  # edge -> raw chamber
         self._keys = dict(keys)  # (type, coset key) -> vertex id
         self._shift = shift
         adj = {v.id: set() for v in self.vertices}
@@ -84,7 +86,9 @@ class ComplexBall:
         return cached
 
     def edge_witness(self, i, j):
-        return self._edge_witness[(min(i, j), max(i, j))]
+        """The first enumerated chamber on both vertices of the edge."""
+        raw = self._edge_witness[(min(i, j), max(i, j))]
+        return ga._wrap(ga.table(self.ambient), raw)
 
     def locate(self, g, type_name):
         """Vertex id of the coset g·A_{X(type)}, or None if not in the ball."""
@@ -249,22 +253,21 @@ def _chambers(t, eff):
 
 
 def _key_batch(args):
-    table, chunk, parabolics, shift = args
-    return [
-        tuple(table.coset_key(raw, X, shift) for X in parabolics)
-        for raw in chunk
-    ]
+    # forked workers find the table in the module state they inherited
+    d, chunk, parabolics, shift = args
+    key = ga.table(d).coset_key
+    return [tuple([key(raw, X, shift) for X in parabolics]) for raw in chunk]
 
 
-def _compute_keys(t, chambers, parabolics, shift, jobs):
+def _compute_keys(d, chambers, parabolics, shift, jobs):
     if jobs <= 1 or len(chambers) < 64:
-        return _key_batch((t, chambers, parabolics, shift))
+        return _key_batch((d, chambers, parabolics, shift))
     step = (len(chambers) + jobs - 1) // jobs
     chunks = [chambers[i:i + step] for i in range(0, len(chambers), step)]
     ctx = get_context("fork")
     with ctx.Pool(processes=jobs) as pool:
         parts = pool.map(
-            _key_batch, [(t, chunk, parabolics, shift) for chunk in chunks]
+            _key_batch, [(d, chunk, parabolics, shift) for chunk in chunks]
         )
     out = []
     for part in parts:
@@ -323,19 +326,17 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
     shift = (eff + 1) // 2
     chambers = list(_chambers(t, eff))
     parabolics = [type_parabolic[s] for s in types]
-    keys = _compute_keys(t, chambers, parabolics, shift, jobs)
+    keys = _compute_keys(d, chambers, parabolics, shift, jobs)
 
-    by_key = {}
+    by_key = [{} for _ in types]  # per type: coset key -> vertex
     witness_of = []
     chamber_vids = []
     for raw, key_row in zip(chambers, keys):
         row = []
         for ti, key in enumerate(key_row):
-            full = (types[ti], key)
-            vid = by_key.get(full)
+            vid = by_key[ti].get(key)
             if vid is None:
-                vid = len(witness_of)
-                by_key[full] = vid
+                vid = by_key[ti][key] = len(witness_of)
                 witness_of.append((types[ti], raw))
             row.append(vid)
         chamber_vids.append(row)
@@ -343,38 +344,35 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
     # deterministic ids: sort by (type position, witness size, witness text)
     tpos = {s: i for i, s in enumerate(types)}
 
-    def raw_size(raw):
-        return abs(raw[0]) + len(raw[1])
+    def sort_key(v):
+        s, raw = witness_of[v]
+        return (tpos[s], abs(raw[0]) + len(raw[1]), ga.serialize_raw(t, raw))
 
-    order = sorted(
-        range(len(witness_of)),
-        key=lambda v: (
-            tpos[witness_of[v][0]],
-            raw_size(witness_of[v][1]),
-            ga.serialize(ga._wrap(t, witness_of[v][1])),
-        ),
-    )
-    newid = {old: new for new, old in enumerate(order)}
+    order = sorted(range(len(witness_of)), key=sort_key)
+    newid = [0] * len(order)
+    for new, old in enumerate(order):
+        newid[old] = new
     vertices = []
     for old in order:
         s, raw = witness_of[old]
         vertices.append(BallVertex(
             id=newid[old], type=s, witness=ga._wrap(t, raw)))
 
+    # each edge keeps the raw form of the first chamber on both its ends
     edges = {}
-    for ci, row in enumerate(chamber_vids):
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                a, b = newid[row[i]], newid[row[j]]
-                e = (a, b) if a < b else (b, a)
-                if e not in edges:
-                    edges[e] = ga._wrap(t, chambers[ci])
+    for raw, row in zip(chambers, chamber_vids):
+        for e in combinations(sorted([newid[v] for v in row]), 2):
+            if e not in edges:
+                edges[e] = raw
     edge_list = sorted(edges)
 
     inner = frozenset(
         v.id for v in vertices if v.witness.size <= eff - margin
     )
-    remapped_keys = {full: newid[vid] for full, vid in by_key.items()}
+    remapped_keys = {
+        (s, key): newid[vid]
+        for s, keyed in zip(types, by_key) for key, vid in keyed.items()
+    }
     return ComplexBall(
         ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
         effective_bound=eff, margin=margin, chamber_count=len(chambers),
@@ -424,8 +422,6 @@ def build_coxeter_complex(d):
 
     # Euler characteristic over all simplex dimensions: a k-simplex is a
     # coset of W_{S∖K} with |K| = k+1
-    from itertools import combinations
-
     chi = 0
     for size in range(1, len(gens) + 1):
         for K in combinations(gens, size):
@@ -496,20 +492,27 @@ def apartment_cycle(d, types=None, base=None):
                 a, b = row[i], row[j]
                 if a != b:
                     edges.add((min(a, b), max(a, b)))
-    # injectivity of the section on vertices: distinct cosets stay distinct
-    for i, (s, w) in enumerate(verts):
-        for k in range(i + 1, len(verts)):
-            s2, w2 = verts[k]
-            if s != s2:
-                continue
-            diff = ga.multiply(ga.inverse(w), w2)
-            assert not ga.in_parabolic(diff, set(gens) - {s}), (
-                "apartment section must be injective"
-            )
+    if not _distinct_cosets(d, verts):
+        raise InvariantViolated("apartment section must be injective")
     return Apartment(
         group=d, types=tuple(types), base=base,
         vertices=tuple(verts), edges=tuple(sorted(edges)),
     )
+
+
+def _distinct_cosets(d, verts):
+    """True iff no two (type s, witness w) pairs name the same coset w·A_{S∖{s}}.
+
+    Coset keys are equal exactly when the cosets are, so one key per vertex
+    decides it, under a shift that makes every witness positive.
+    """
+    t = ga.table(d)
+    raws = [(s, ga._raw(t, w)) for s, w in verts]
+    shift = max(0, (1 - min((raw[0] for _, raw in raws), default=0)) // 2)
+    allv = frozenset(d.vertices)
+    parabolic = {s: allv - {s} for s, _ in raws}
+    keys = {(s, t.coset_key(raw, parabolic[s], shift)) for s, raw in raws}
+    return len(keys) == len(raws)
 
 
 def locate_apartment(apartment, ball):

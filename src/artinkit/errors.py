@@ -66,6 +66,11 @@ class PreconditionFailed(ArtinKitError):
     """A documented operation precondition does not hold for the inputs."""
 
 
+class InvariantViolated(ArtinKitError):
+    """A mathematical invariant of a computation failed: a fault in the
+    program or its tables, never in the input."""
+
+
 class BoundTooLarge(ArtinKitError):
     """Resource guard: the requested enumeration does not fit the chamber cap."""
 

@@ -4,23 +4,32 @@ An element is Δ^k · f_1 ⋯ f_l where the f_i are simples (positive lifts of
 Coxeter group elements), no factor is trivial or Δ, and each consecutive
 pair is left-weighted.  All lattice/divisibility computations reduce to
 finite Coxeter-group tables built once per diagram: multiplication, descent
-masks, and brute-force meets over divisor bitsets.
+masks and divisor bitsets, from which meets of simples are read.
+
+The hot paths (the left-weighting step of `normalize`, and the tail fold
+and division step of `coset_key`) read flat tables of pairs of simples,
+keyed by u·|W| + v, plus one row per parabolic for the cut by Δ_X. No
+entry is computed when the table is built: each is filled on its first
+lookup, so time and memory follow the pairs a computation actually meets
+rather than |W|².
 
 Conventions: inf(x) = delta_power, sup(x) = delta_power + number of factors,
 size(x) = |delta_power| + number of factors (the canonical size used for
 ball enumeration radii).  τ is conjugation by Δ; τ² = id holds in every
-spherical type, which the table asserts at build time.
+spherical type, which the table checks at build time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import coxeter as cx
 from .dynkin import DynkinDiagram, is_spherical
 from .errors import (
     GroupMismatch,
+    InvariantViolated,
     NotPositive,
     NotSpherical,
     ParseError,
@@ -66,7 +75,8 @@ class GarsideTable:
         self.w0i = max(range(self.n), key=lambda i: self.length[i])
         w0 = self.w0i
         self.tau = [self.mul[self.mul[w0][x]][w0] for x in range(self.n)]
-        assert all(self.tau[self.tau[x]] == x for x in range(self.n))
+        if any(self.tau[self.tau[x]] != x for x in range(self.n)):
+            raise InvariantViolated("conjugation by Δ is not an involution")
         # descent masks over the generator declaration order
         gi = {s: i for i, s in enumerate(d.vertices)}
         self.ldesc = [0] * self.n
@@ -103,6 +113,14 @@ class GarsideTable:
         self._meet_l = {}
         self._meet_r = {}
         self._w0_parabolic = {}
+        # flat tables keyed by u·n + v, filled on first lookup
+        self._left_weight = {}  # left-weighted pair for u·v, () if normal
+        self._tail = {}  # maximal simple right-divisor of u·v
+        self._divide = {}  # (j·u⁻¹, j·v⁻¹) for j = u ∨_R v
+        # X → row of meet_r(x, Δ_X), the largest right-divisor of x in W_X
+        self._cut = {}
+        # (X, d) → minimal positive representative of Δ^d·A_X
+        self._delta_cosets = {}
         # normal successor lists for ball enumeration: t follows s iff
         # every left descent of t is a right descent of s
         self.follows = None
@@ -136,19 +154,6 @@ class GarsideTable:
             self._meet_r[key] = hit
         return hit
 
-    def simple_head(self, s, t):
-        """Max simple left-divisor of the product of simples s·t."""
-        return self.mul[s][self.meet_l(self.rcomp[s], t)]
-
-    def simple_tail(self, s, t):
-        """Max simple right-divisor of the product of simples s·t."""
-        return self.mul[self.meet_r(s, self.lcomp[t])][t]
-
-    def join_r(self, u, v):
-        """Least common left-multiple of simples: smallest j with u,v ≼_R j."""
-        m = self.meet_l(self.lcomp[u], self.lcomp[v])
-        return self.mul[self.inv[m]][self.w0i]
-
     def is_normal(self, s, t):
         return self.ldesc[t] & ~self.rdesc[s] == 0
 
@@ -176,21 +181,24 @@ class GarsideTable:
 
     def normalize(self, d, fs):
         fs = [f for f in fs if f != 0]
+        n, lw = self.n, self._left_weight
         passes = 0
         limit = (len(fs) + 2) ** 2
         changed = True
         while changed:
             changed = False
             passes += 1
-            assert passes <= limit, "normalization failed to stabilize"
+            if passes > limit:
+                raise InvariantViolated("normalization failed to stabilize")
             for i in range(len(fs) - 1):
-                u, v = fs[i], fs[i + 1]
-                if u == 0 or v == 0 or self.is_normal(u, v):
-                    continue
-                c = self.meet_l(self.rcomp[u], v)
-                fs[i] = self.mul[u][c]
-                fs[i + 1] = self.mul[self.inv[c]][v]
-                changed = True
+                k = fs[i] * n + fs[i + 1]
+                try:
+                    step = lw[k]
+                except KeyError:
+                    step = lw[k] = self._left_weighted(fs[i], fs[i + 1])
+                if step:
+                    fs[i], fs[i + 1] = step
+                    changed = True
             fs = [f for f in fs if f != 0]
         while fs and fs[0] == self.w0i:
             # leading factor is already to the left of the others, so the
@@ -220,54 +228,108 @@ class GarsideTable:
             return self.w0i
         return fs[0] if fs else 0
 
-    def tail_simple(self, a):
-        """Max simple right-divisor of a positive element."""
-        d, fs = a
-        if d > 0:
-            return self.w0i
-        if not fs:
-            return 0
-        t = fs[0]
-        for f in fs[1:]:
-            t = self.simple_tail(t, f)
-        return t
-
     def coset_key(self, a, X, shift):
         """Canonical token of the left coset a·A_X, comparable for a fixed shift.
 
-        Requires Δ^(2·shift)·a positive. The token is the normal form of the
-        unique minimal positive representative of the shifted coset, obtained
-        by stripping the maximal right-divisor lying in the positive monoid
-        of A_X. Works on a plain factor sequence and normalizes once at the
-        end, so each strip is linear in the sequence length.
+        Requires Δ^(2·shift)·a positive and X a frozenset of generators. The
+        token is the normal form of the unique minimal positive representative
+        of the shifted coset (Godelle, J. Algebra 2007). The Δ power is moved
+        out of the way first: Δ^d·x = τ^d(x)·Δ^d, and Δ^d·A_X = Δ^e·m·A_X
+        for the minimal representative Δ^e·m of Δ^d·A_X, cached per (X, d).
+        What is left, τ^(d+e)(x)·m, goes through `_strip` and one `normalize`.
         """
         d, fs = a
         d += 2 * shift
         if d < 0:
             raise NotPositive("shift too small for coset key")
-        seq = [self.w0i] * d + list(fs)
-        w0x = self.w0_parabolic(X)
-        mul, inv = self.mul, self.inv
-        while seq:
-            beta = seq[0]
-            for f in seq[1:]:
-                beta = self.simple_tail(beta, f)
-            c = self.meet_r(beta, w0x)
+        rep = self._delta_cosets.get((X, d))
+        if rep is None:
+            e, m = self._strip(d, [], X)
+            rep = self._delta_cosets[(X, d)] = (e, tuple(m))
+        e, m = rep
+        if (d + e) % 2:
+            tau = self.tau
+            seq = [tau[f] for f in fs]
+        else:
+            seq = list(fs)
+        seq.extend(m)
+        return self.normalize(*self._strip(e, seq, X))
+
+    def _strip(self, d, seq, X):
+        """Minimal positive representative of Δ^d·seq·A_X, as (d, factors).
+
+        Repeatedly strips the largest right-divisor lying in the positive
+        monoid of A_X: the largest right-divisor in W_X of the maximal simple
+        right-divisor β of the product. β is Δ while d > 0 (Δx = τ(x)Δ) and is
+        folded over the factors otherwise. Every step reads the flat tables
+        (`_tail`, `_divide`, and the `_cut` row of X), whose entries are
+        computed on first lookup. `seq` is consumed.
+        """
+        cut = self._cut.get(X)
+        if cut is None:
+            cut = self._cut[X] = [-1] * self.n
+        n, w0, tail, divide = self.n, self.w0i, self._tail, self._divide
+        while True:
+            if d:
+                beta = w0
+            elif seq:
+                it = iter(seq)
+                beta = next(it)
+                for f in it:
+                    k = beta * n + f
+                    try:
+                        beta = tail[k]
+                    except KeyError:
+                        beta = tail[k] = self._simple_tail(beta, f)
+            else:
+                break
+            c = cut[beta]
+            if c < 0:
+                c = cut[beta] = self.meet_r(beta, self.w0_parabolic(X))
             if c == 0:
                 break
             # divide the sequence by c on the right: walk right-to-left,
             # transporting the pending divisor through each factor via the
             # right-divisibility join (g·c⁻¹ = (j·g⁻¹)⁻¹·(j·c⁻¹), j = c ∨ g)
-            for i in range(len(seq) - 1, -1, -1):
-                if c == 0:
-                    break
-                g = seq[i]
-                j = self.join_r(c, g)
-                seq[i] = mul[j][inv[c]]
-                c = mul[j][inv[g]]
-            assert c == 0, "divisor did not divide out"
-            seq = [f for f in seq if f != 0]
-        return self.normalize(0, tuple(seq))
+            i = len(seq)
+            while c and i:
+                i -= 1
+                k = c * n + seq[i]
+                try:
+                    step = divide[k]
+                except KeyError:
+                    step = divide[k] = self._division_step(c, seq[i])
+                seq[i], c = step
+            if c:
+                # the divisor reached the leading Δ^d: Δ·c⁻¹ stays positive
+                if not d:
+                    raise InvariantViolated("divisor did not divide out")
+                d -= 1
+                seq.insert(0, self.lcomp[c])
+            if 0 in seq:
+                seq = [f for f in seq if f != 0]
+        return d, seq
+
+    # -- entries of the flat tables --------------------------------------
+
+    def _left_weighted(self, u, v):
+        if u == 0 or v == 0 or self.is_normal(u, v):
+            return ()
+        c = self.meet_l(self.rcomp[u], v)
+        return self.mul[u][c], self.mul[self.inv[c]][v]
+
+    def _simple_tail(self, u, v):
+        return self.mul[self.meet_r(u, self.lcomp[v])][v]
+
+    def _division_step(self, c, g):
+        mul, inv = self.mul, self.inv
+        j = mul[inv[self.meet_l(self.lcomp[c], self.lcomp[g])]][self.w0i]
+        return mul[j][inv[c]], mul[j][inv[g]]
+
+    @cached_property
+    def simples(self):
+        """One immutable Simple per element of W, shared by every wrap."""
+        return [Simple(cx.CoxeterElement(self.d, w)) for w in self.words]
 
     def support_mask(self, a):
         d, fs = a
@@ -336,9 +398,8 @@ class NpForm:
 
 def _wrap(t, raw):
     d, fs = raw
-    return GarsideElement(
-        t.d, d, tuple(Simple(cx.CoxeterElement(t.d, t.words[f])) for f in fs)
-    )
+    simples = t.simples
+    return GarsideElement(t.d, d, tuple(simples[f] for f in fs))
 
 
 def _raw(t, g):
@@ -659,14 +720,20 @@ def _recognize_center(d, w):
 
 def serialize(g):
     """Render as `Δ^k · w1 | w2 | ...`; the identity is `Δ^0 ·`."""
-    head = f"Δ^{g.delta_power} ·"
-    if not g.factors:
+    return _text(g.group, g.delta_power, [s.underlying.word for s in g.factors])
+
+
+def serialize_raw(t, raw):
+    """serialize() of a raw (delta_power, factor indices) form of table t."""
+    return _text(t.d, raw[0], [t.words[f] for f in raw[1]])
+
+
+def _text(d, k, words):
+    head = f"Δ^{k} ·"
+    if not words:
         return head
-    return head + " " + " | ".join(
-        " ".join(s.underlying.word) if _needs_spaces(g.group)
-        else "".join(s.underlying.word)
-        for s in g.factors
-    )
+    sep = " " if _needs_spaces(d) else ""
+    return head + " " + " | ".join(sep.join(w) for w in words)
 
 
 def _needs_spaces(d):

@@ -25,6 +25,7 @@ def path(names, labels):
 A2 = path("ab", [3])
 A3 = path("abc", [3, 3])
 B3 = path("abc", [4, 3])
+H3 = path("abc", [5, 3])
 I24 = path("ab", [4])
 
 
@@ -92,6 +93,26 @@ def test_merge_iff_coset_equality_exhaustive():
                 same = located[i][s] == located[j][s]
                 assert same == ga.in_parabolic(diff, b.type_parabolic[s])
 
+    # seeded chamber pairs on rank-3 balls, half of them on a common vertex
+    rng = random.Random(3)
+    for d in (B3, H3):
+        b = cpx.build_ball(d, ["a", "b", "c"], 3)
+        t = ga.table(d)
+        chambers = [ga._wrap(t, raw)
+                    for raw in cpx._chambers(t, b.effective_bound)]
+        assert len(chambers) == b.chamber_count
+        for s in b.types:
+            on = {}
+            for g in chambers:
+                on.setdefault(b.locate(g, s), []).append(g)
+            assert None not in on
+            for k in range(60):
+                g = rng.choice(chambers)
+                h = rng.choice(on[b.locate(g, s)] if k % 2 else chambers)
+                diff = ga.multiply(ga.inverse(g), h)
+                same = b.locate(g, s) == b.locate(h, s)
+                assert same == ga.in_parabolic(diff, b.type_parabolic[s])
+
 
 def test_every_edge_witness_realizes_both_endpoints():
     b = cpx.build_ball(A3, ["a", "b", "c"], 3)
@@ -99,6 +120,22 @@ def test_every_edge_witness_realizes_both_endpoints():
         g = b.edge_witness(i, j)
         assert {b.locate(g, b.vertex(i).type), b.locate(g, b.vertex(j).type)} \
             == {i, j}
+
+
+def test_edge_witness_is_the_chamber_that_created_the_edge():
+    b = cpx.build_ball(B3, ["a", "b", "c"], 3)
+    t = ga.table(B3)
+    first = {}
+    for raw in cpx._chambers(t, b.effective_bound):
+        g = ga._wrap(t, raw)
+        row = [b.locate(g, s) for s in b.types]
+        for i, j in combinations(sorted(row), 2):
+            first.setdefault((i, j), g)
+    assert sorted(first) == list(b.edges)
+    for (i, j), g in first.items():
+        w = b.edge_witness(j, i)
+        assert isinstance(w, ga.GarsideElement)
+        assert w == g
 
 
 def test_adjacent_vertices_have_distinct_types():
@@ -255,6 +292,38 @@ def test_apartment_translated_by_base():
     loc = cpx.locate_apartment(ap, b)
     assert all(v is not None for v in loc)
     assert len(set(loc)) == 8
+
+
+def _pairwise_distinct_cosets(verts):
+    # oracle: no same-type pair differs by an element of A_{S-{s}}
+    for i, (s, w) in enumerate(verts):
+        for s2, w2 in verts[i + 1:]:
+            if s == s2 and ga.in_parabolic(
+                    ga.multiply(ga.inverse(w), w2),
+                    set(w.group.vertices) - {s}):
+                return False
+    return True
+
+
+def test_apartment_injectivity_check_agrees_with_pairwise_oracle():
+    D4 = dynkin.DynkinDiagram(
+        ("c", "a", "b", "d"), (("c", "a", 3), ("c", "b", 3), ("c", "d", 3)))
+    for d in (A3, B3, H3, D4):
+        bases = [None, ga.from_letters(d, [(d.vertices[0], -1),
+                                           (d.vertices[1], 1),
+                                           (d.vertices[1], 1)])]
+        for base in bases:
+            verts = list(cpx.apartment_cycle(d, base=base).vertices)
+            assert cpx._distinct_cosets(d, verts)
+            assert _pairwise_distinct_cosets(verts)
+            # move one witness inside its coset onto another vertex's coset
+            s = verts[-1][0]
+            k = next(i for i, (s2, _) in enumerate(verts) if s2 == s)
+            other = next(x for x in d.vertices if x != s)
+            moved = ga.multiply(verts[k][1], ga.from_letters(d, [(other, -1)]))
+            clash = verts[:-1] + [(s, moved)]
+            assert not cpx._distinct_cosets(d, clash)
+            assert not _pairwise_distinct_cosets(clash)
 
 
 def test_apartment_multi_letter_generators():

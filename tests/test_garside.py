@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -383,3 +387,47 @@ def test_table_matches_word_multiplication():
                 if t.length[t.mul[w][t.inv[u]]] + t.length[u] == lw:
                     rdivs |= 1 << u
             assert (t.ldivs[w], t.rdivs[w]) == (ldivs, rdivs)
+
+
+# Each snippet corrupts the B3 table and must end in InvariantViolated,
+# with the given message, even with assertions stripped by `python -O`.
+CORRUPTIONS = {
+    "divisor did not divide out": """
+# every division step claims the divisor passes through untouched
+t._divide.update({c * t.n + g: (g, c)
+                  for c in range(t.n) for g in range(t.n)})
+t.coset_key((0, (t.gen["a"],)), frozenset("ab"), 0)
+""",
+    "normalization failed to stabilize": """
+a, b = t.gen["a"], t.gen["b"]
+t._left_weight[a * t.n + b] = (b, a)
+t._left_weight[b * t.n + a] = (a, b)
+t.normalize(0, (a, b))
+""",
+    "apartment section must be injective": """
+from artinkit import complexes
+t.coset_key = lambda raw, X, shift: X
+complexes.apartment_cycle(d)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_table_raises_invariant_violated_under_O(name):
+    script = (
+        "from artinkit import dynkin, garside as ga\n"
+        "from artinkit.errors import InvariantViolated\n"
+        "d = dynkin.path_diagram('abc', [4, 3])\n"
+        "t = ga.table(d)\n"
+        "try:\n"
+        + "".join("    " + line + "\n"
+                  for line in CORRUPTIONS[name].strip().splitlines())
+        + "except InvariantViolated as e:\n"
+        "    print('InvariantViolated:', e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run([sys.executable, "-O", "-c", script],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == f"InvariantViolated: {name}", r.stdout
