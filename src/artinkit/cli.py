@@ -6,7 +6,8 @@ randomness lives in `fuzz` behind an explicit seed.
 
 Exit codes: 0 success/VERIFIED, 1 UNRESOLVED or conditional-only gates,
 2 parse or usage error, 3 non-spherical input where sphericity is needed,
-4 COUNTEREXAMPLE, 5 resource cap, 6 no gate applies.
+4 COUNTEREXAMPLE, 5 resource cap, 6 no gate applies, 7 internal invariant
+violated (a fault in the program, never in the input).
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .errors import (
     ArtinKitError,
     BoundTooLarge,
     CapExceeded,
+    InvariantViolated,
     NotAdmissible,
     NotSpherical,
     ParseError,
@@ -34,6 +36,7 @@ EXIT_NOT_SPHERICAL = 3
 EXIT_COUNTEREXAMPLE = 4
 EXIT_RESOURCE = 5
 EXIT_NO_GATE = 6
+EXIT_INTERNAL = 7
 
 _STATUS_EXIT = {
     checks.VERIFIED: EXIT_OK,
@@ -334,6 +337,9 @@ def main(argv=None):
     except (BoundTooLarge, CapExceeded, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ArtinKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -123,8 +123,23 @@ class ComplexBall:
         }
 
     def to_json_str(self):
-        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True,
-                          separators=(",", ": "), indent=2)
+        """`to_json` with sorted keys and a 2-space indent, written directly:
+        given an indent, `json.dumps` runs its pure-Python encoder."""
+        def block(items):
+            return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+        def enc(text):
+            return json.dumps(text, ensure_ascii=False)
+
+        vertices = [
+            f'    {{\n      "id": {v.id},\n      "type": {enc(v.type)},\n'
+            f'      "witness": {enc(ga.serialize(v.witness))}\n    }}'
+            for v in self.vertices
+        ]
+        edges = [f"    [\n      {i},\n      {j}\n    ]" for (i, j) in self.edges]
+        inner = [f"    {i}" for i in sorted(self.inner)]
+        return (f'{{\n  "bound": {self.bound},\n  "edges": {block(edges)},\n'
+                f'  "inner": {block(inner)},\n  "vertices": {block(vertices)}\n}}')
 
     def to_dot(self):
         color = {
@@ -430,7 +445,8 @@ def build_coxeter_complex(d):
             chi += (-1) ** (size - 1) * cosets
     if len(gens) <= 4 and len(gens) >= 1:
         want = 2 if (len(gens) - 1) % 2 == 0 else 0
-        assert chi == want, f"Euler characteristic {chi} != {want}"
+        if chi != want:
+            raise InvariantViolated(f"Euler characteristic {chi} != {want}")
     return CoxeterComplex(
         group=d, vertices=tuple(vertices), edges=tuple(sorted(edges)),
         chamber_count=n, euler_characteristic=chi,

@@ -5,7 +5,10 @@ A diagram here is a finite simple graph whose edges carry an integer label
 commute); label inf means no relation between them.  Vertex declaration
 order is significant downstream: it fixes the generator order used for
 ShortLex normal forms, so a diagram is *not* identified with its isomorphism
-class.  `classify` is the isomorphism-invariant view.
+class.  `classify` is the isomorphism-invariant view.  It decides the
+spherical or affine type from the shape (cycle, path, or tree with one or
+two branch vertices) and its labels, with no isomorphism search;
+`is_isomorphic` compares two given diagrams.
 
 Text format (line oriented, `#` starts a comment, `;` also separates
 statements):
@@ -332,96 +335,53 @@ class DiagramClass:
         return self.tag == "Affine"
 
 
-def _names(n):
-    return [f"x{i}" for i in range(n)]
+# Connected spherical and affine diagrams of rank n >= 3, by shape
+# (Humphreys, Reflection Groups and Coxeter Groups, 2.4 and 2.7).
 
 
-def _path(labels):
-    return path_diagram(_names(len(labels) + 1), labels)
+def _path_classes(n):
+    """Path label sequences, read from the end that gives the smaller tuple."""
+    return {
+        (3,) * (n - 1): ("Spherical", f"A({n})"),
+        (3,) * (n - 2) + (4,): ("Spherical", f"B({n})"),
+        (3, 4, 3): ("Spherical", "F(4)"),
+        (3, 5): ("Spherical", "H(3)"),
+        (3, 3, 5): ("Spherical", "H(4)"),
+        (4,) + (3,) * (n - 3) + (4,): ("Affine", f"AffC({n - 1})"),
+        (3, 3, 4, 3): ("Affine", "AffF(4)"),
+        (3, 6): ("Affine", "AffG(2)"),
+    }
 
 
-def _tripod(leg_a, leg_b, leg_c, labels=3):
-    """Tree: center with three paths of the given lengths, all labels 3."""
-    verts = ["c"]
-    edges = []
-    for leg, n in (("a", leg_a), ("b", leg_b), ("c", leg_c)):
-        prev = "c"
-        for i in range(n):
-            name = f"{leg}{i}"
-            verts.append(name)
-            edges.append((prev, name, labels))
-            prev = name
-    return DynkinDiagram(tuple(verts), tuple(edges))
+def _star_classes(n):
+    """Trees with one branch vertex, by the sorted label sequences of their
+    legs, each read outward from the branch vertex."""
+    a, b, c = (3,), (3, 3), (3, 3, 3)
+    return {
+        (a, a, (3,) * (n - 3)): ("Spherical", f"D({n})"),
+        (a, b, b): ("Spherical", "E(6)"),
+        (a, b, c): ("Spherical", "E(7)"),
+        (a, b, (3,) * 4): ("Spherical", "E(8)"),
+        (a, a, (3,) * (n - 4) + (4,)): ("Affine", f"AffB({n - 1})"),
+        (a, a, a, a): ("Affine", "AffD(4)"),
+        (b, b, b): ("Affine", "AffE(6)"),
+        (a, c, c): ("Affine", "AffE(7)"),
+        (a, b, (3,) * 5): ("Affine", "AffE(8)"),
+    }
 
 
-def _spherical_entries(n):
-    """Catalog of connected spherical diagrams with n vertices (n >= 3)."""
-    out = []
-    out.append((f"A({n})", _path([3] * (n - 1))))
-    out.append((f"B({n})", _path([4] + [3] * (n - 2))))
-    if n >= 4:
-        out.append((f"D({n})", _tripod(1, 1, n - 3)))
-    if n == 6:
-        out.append(("E(6)", _tripod(1, 2, 2)))
-    if n == 7:
-        out.append(("E(7)", _tripod(1, 2, 3)))
-    if n == 8:
-        out.append(("E(8)", _tripod(1, 2, 4)))
-    if n == 4:
-        out.append(("F(4)", _path([3, 4, 3])))
-    if n == 3:
-        out.append(("H(3)", _path([5, 3])))
-    if n == 4:
-        out.append(("H(4)", _path([5, 3, 3])))
-    return out
-
-
-def _affine_entries(k):
-    """Catalog of connected affine diagrams with k vertices (rank k-1)."""
-    n = k - 1  # affine type subscript
-    out = []
-    if n >= 2:
-        out.append((f"AffA({n})", cycle_diagram(_names(n + 1), [3] * (n + 1))))
-    if n >= 3:
-        # double leaf at one end, label-4 edge at the other
-        verts = ["l0", "l1", "h"] + [f"p{i}" for i in range(n - 3)] + ["z"]
-        chain = ["h"] + [f"p{i}" for i in range(n - 3)] + ["z"]
-        edges = [("l0", "h", 3), ("l1", "h", 3)]
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b, 3))
-        edges[-1] = (edges[-1][0], edges[-1][1], 4)
-        out.append((f"AffB({n})", DynkinDiagram(tuple(verts), tuple(edges))))
-    if n >= 2:
-        out.append((f"AffC({n})", _path([4] + [3] * (n - 2) + [4])))
-    if n == 4:
-        star = DynkinDiagram(
-            ("c", "u0", "u1", "u2", "u3"),
-            tuple(("c", f"u{i}", 3) for i in range(4)),
-        )
-        out.append(("AffD(4)", star))
-    if n >= 5:
-        verts = ["l0", "l1", "h"] + [f"p{i}" for i in range(n - 5)] + ["k", "r0", "r1"]
-        chain = ["h"] + [f"p{i}" for i in range(n - 5)] + ["k"]
-        edges = [("l0", "h", 3), ("l1", "h", 3), ("r0", "k", 3), ("r1", "k", 3)]
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b, 3))
-        out.append((f"AffD({n})", DynkinDiagram(tuple(verts), tuple(edges))))
-    if n == 6:
-        out.append(("AffE(6)", _tripod(2, 2, 2)))
-    if n == 7:
-        out.append(("AffE(7)", _tripod(1, 3, 3)))
-    if n == 8:
-        out.append(("AffE(8)", _tripod(1, 2, 5)))
-    if n == 4:
-        out.append(("AffF(4)", _path([3, 3, 4, 3])))
-    if n == 2:
-        out.append(("AffG(2)", _path([6, 3])))
-    return out
+def _walk(adj, prev, cur):
+    """Labels from prev through cur and onward until a vertex of degree != 2."""
+    labels = [adj[prev][cur]]
+    while len(adj[cur]) == 2:
+        prev, cur = cur, next(w for w in adj[cur] if w != prev)
+        labels.append(adj[prev][cur])
+    return tuple(labels)
 
 
 def _degree_label_signature(d):
     degs = sorted(d.degree(v) for v in d.vertices)
-    labels = sorted(_label_key(m) if m == INFINITY else m for (_, _, m) in d.edges)
+    labels = sorted(m for (_, _, m) in d.edges)
     return degs, labels
 
 
@@ -478,7 +438,9 @@ def classify(d):
 
     Returns a DiagramClass tagged Spherical/Affine with the catalog name, or
     Other. Raises NotConnected / InfiniteLabel for diagrams outside the
-    contract.
+    contract. The class is read off the shape, with no isomorphism search:
+    a cycle, a path, or a tree with one or two branch vertices, with its
+    labels.
     """
     if d.rank == 0:
         raise NotConnected("empty diagram")
@@ -497,13 +459,27 @@ def classify(d):
         if m == 4:
             return DiagramClass("Spherical", "B(2)")
         return DiagramClass("Spherical", f"I2({m})")
-    for name, entry in _spherical_entries(n):
-        if is_isomorphic(d, entry):
-            return DiagramClass("Spherical", name)
-    for name, entry in _affine_entries(n):
-        if is_isomorphic(d, entry):
-            return DiagramClass("Affine", name)
-    return DiagramClass("Other")
+    adj = d._adj
+    all3 = all(m == 3 for (_, _, m) in d.edges)
+    branches = [v for v in d.vertices if len(adj[v]) >= 3]
+    if len(d.edges) == n:  # unicyclic: affine only as the all-3 cycle
+        hit = ("Affine", f"AffA({n - 1})") if all3 and not branches else None
+    elif len(d.edges) > n:
+        hit = None
+    elif not branches:  # a path
+        end = next(v for v in d.vertices if len(adj[v]) == 1)
+        labels = _walk(adj, end, next(iter(adj[end])))
+        hit = _path_classes(n).get(min(labels, labels[::-1]))
+    elif len(branches) == 1:
+        legs = tuple(sorted(_walk(adj, branches[0], v) for v in adj[branches[0]]))
+        hit = _star_classes(n).get(legs)
+    else:  # AffD(n - 1): two branch vertices, each carrying two leaves
+        forked = len(branches) == 2 and all(
+            len(adj[v]) == 3 and sum(len(adj[w]) == 1 for w in adj[v]) == 2
+            for v in branches
+        )
+        hit = ("Affine", f"AffD({n - 1})") if all3 and forked else None
+    return DiagramClass(*hit) if hit else DiagramClass("Other")
 
 
 def is_spherical(d):
@@ -521,14 +497,11 @@ def is_locally_reducible(d):
     The connected spherical rank-3 diagrams are exactly the (3,m)-paths with
     m in {3,4,5}, so this is a direct scan over vertex triples.
     """
+    adj = d._adj
     for triple in combinations(d.vertices, 3):
-        sub = d.induced(triple)
-        if len(sub.edges) != 2:
-            continue  # triangle (never spherical) or disconnected
-        labels = sorted(
-            m if m != INFINITY else INFINITY for (_, _, m) in sub.edges
-        )
-        if labels[0] == 3 and labels[1] in (3, 4, 5):
+        labels = sorted(adj[u][v] for u, v in combinations(triple, 2) if v in adj[u])
+        # two edges make a path; a triangle is never spherical
+        if len(labels) == 2 and labels[0] == 3 and labels[1] in (3, 4, 5):
             return False
     return True
 
@@ -612,30 +585,10 @@ def cut_components(d, cut_edges):
         if not (d.has_vertex(u) and d.has_vertex(v)) or not d.has_edge(u, v):
             raise EdgeNotInDiagram(f"({u},{v}) is not an edge of the diagram")
         cuts.add(frozenset((u, v)))
-    adj = {
-        v: [u for u in d.neighbors(v) if frozenset((u, v)) not in cuts]
-        for v in d.vertices
-    }
-    seen = set()
-    comps = []
-    for v in d.vertices:
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x])
-        seen |= comp
-        verts = tuple(u for u in d.vertices if u in comp)
-        edges = tuple(
-            e for e in d.edges
-            if e[0] in comp and e[1] in comp and frozenset((e[0], e[1])) not in cuts
-        )
-        comps.append(DynkinDiagram(verts, edges))
-    return comps
+    rest = DynkinDiagram(
+        d.vertices, tuple(e for e in d.edges if frozenset(e[:2]) not in cuts)
+    )
+    return [rest.induced(comp) for comp in rest.components()]
 
 
 # -- foldings ----------------------------------------------------------------

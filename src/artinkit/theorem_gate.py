@@ -28,7 +28,7 @@ import json
 
 from . import dynkin
 from .dynkin import INFINITY
-from .errors import InvalidFolding, SearchBudgetExceeded
+from .errors import InvalidFolding, InvariantViolated, SearchBudgetExceeded
 
 TREE_CUT = "TreeCut"
 SINGLE_CYCLE = "SingleCycle"
@@ -226,35 +226,36 @@ def _has_cycle(d):
     return len(d.edges) > d.rank - len(d.components())
 
 
-def _cycle_order(sub):
-    """Walk an induced cycle into a deterministic vertex order."""
-    start = sub.vertices[0]
-    nbrs = sub.neighbors(start)
-    order = [start, nbrs[0]]
-    prev, cur = start, nbrs[0]
-    while True:
-        nxt = [w for w in sub.neighbors(cur) if w != prev]
-        if nxt[0] == start:
-            return tuple(order)
-        order.append(nxt[0])
-        prev, cur = cur, nxt[0]
-
-
 def induced_cycles(d):
-    """All induced cycles, smallest first, each as an ordered vertex tuple."""
+    """All induced cycles, smallest first, each as an ordered vertex tuple.
+
+    A depth-first search from each root grows induced paths through
+    vertices declared after it, never stepping onto a neighbor of an
+    interior path vertex, so a step back next to the root closes a chordless
+    cycle. Each cycle is kept in one direction: from its first-declared
+    vertex towards the earlier-declared of that vertex's two neighbors.
+    Cycles come sorted by size, then by their declaration indices.
+    """
     out = []
     if not _has_cycle(d):
         return out
-    for k in range(3, d.rank + 1):
-        for sub in combinations(d.vertices, k):
-            s = d.induced(sub)
-            if len(s.edges) != k:
+    index, adj = d._index, d._adj
+
+    def grow(path, blocked):
+        for w in adj[path[-1]]:
+            if w in blocked or index[w] < index[path[0]]:
                 continue
-            if any(s.degree(v) != 2 for v in sub):
-                continue
-            if not s.is_connected():
-                continue
-            out.append(_cycle_order(s))
+            if path[0] in adj[w]:
+                if index[path[1]] < index[w]:
+                    out.append(tuple(path) + (w,))
+            else:
+                grow(path + [w], blocked.union(adj[path[-1]], (w,)))
+
+    for root in d.vertices:
+        for first in adj[root]:
+            if index[first] > index[root]:
+                grow([root, first], {root, first})
+    out.sort(key=lambda c: (len(c), sorted(index[v] for v in c)))
     return out
 
 
@@ -291,7 +292,10 @@ def _cycle_links(source, cycle, branches, folding):
         comp = _link_component(source, fiber, anchors[0])
         # consecutive cycle fibers are fully adjacent, so one component
         # carries all remaining fiber vertices
-        assert all(comp.has_vertex(v) for v in anchors)
+        if not all(comp.has_vertex(v) for v in anchors):
+            raise InvariantViolated(
+                f"link of {s} does not carry the rest of the cycle"
+            )
         hit = _admit(comp, branches, folding)
         if hit is None:
             allowed = ", ".join(branches).replace("_", " ")
@@ -433,7 +437,8 @@ def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
                     if first_fail is None:
                         first_fail = fail
                     continue
-                assert not assumptions
+                if assumptions:
+                    raise InvariantViolated("folded branches admit no assumptions")
                 certificate = {
                     "folding": _folding_json(f),
                     "cycle": list(cycle),

@@ -5,12 +5,17 @@ comes from explicit permutation / signed-permutation / dihedral models,
 lengths from BFS distance in the Cayley graph, lattice facts from brute-force
 divisor enumeration over those models, and (for the smallest instances) word
 equality in the Artin monoid from exhaustive rewriting with the defining
-relations only. Agreement between the package and these models is what the
-frozen constants in the test suite certify.
+relations only. Diagram classes come from the spherical and affine catalogs
+matched by `dynkin.is_isomorphic`, a backtracking search that
+`dynkin.classify` does not use; the diagrams themselves are built with the
+package's constructors. Agreement between the package and these models is
+what the frozen constants in the test suite certify.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from artinkit.dynkin import DynkinDiagram, cycle_diagram, is_isomorphic, path_diagram
 
 
 # -- generic finite group scaffolding ---------------------------------------
@@ -667,3 +672,105 @@ def typed_isomorphism(v1, e1, c1, v2, e2, c2):
         return False
 
     return dict(mapping) if extend(0) else None
+
+
+# -- catalog classification of Coxeter diagrams --------------------------------
+
+
+def _names(n):
+    return [f"x{i}" for i in range(n)]
+
+
+def _path(labels):
+    return path_diagram(_names(len(labels) + 1), labels)
+
+
+def _tripod(leg_a, leg_b, leg_c, labels=3):
+    """Tree: center with three paths of the given lengths, all labels 3."""
+    verts = ["c"]
+    edges = []
+    for leg, n in (("a", leg_a), ("b", leg_b), ("c", leg_c)):
+        prev = "c"
+        for i in range(n):
+            name = f"{leg}{i}"
+            verts.append(name)
+            edges.append((prev, name, labels))
+            prev = name
+    return DynkinDiagram(tuple(verts), tuple(edges))
+
+
+def spherical_entries(n):
+    """Catalog of connected spherical diagrams with n vertices (n >= 3)."""
+    out = []
+    out.append((f"A({n})", _path([3] * (n - 1))))
+    out.append((f"B({n})", _path([4] + [3] * (n - 2))))
+    if n >= 4:
+        out.append((f"D({n})", _tripod(1, 1, n - 3)))
+    if n == 6:
+        out.append(("E(6)", _tripod(1, 2, 2)))
+    if n == 7:
+        out.append(("E(7)", _tripod(1, 2, 3)))
+    if n == 8:
+        out.append(("E(8)", _tripod(1, 2, 4)))
+    if n == 4:
+        out.append(("F(4)", _path([3, 4, 3])))
+    if n == 3:
+        out.append(("H(3)", _path([5, 3])))
+    if n == 4:
+        out.append(("H(4)", _path([5, 3, 3])))
+    return out
+
+
+def affine_entries(k):
+    """Catalog of connected affine diagrams with k vertices (rank k-1)."""
+    n = k - 1  # affine type subscript
+    out = []
+    if n >= 2:
+        out.append((f"AffA({n})", cycle_diagram(_names(n + 1), [3] * (n + 1))))
+    if n >= 3:
+        # double leaf at one end, label-4 edge at the other
+        verts = ["l0", "l1", "h"] + [f"p{i}" for i in range(n - 3)] + ["z"]
+        chain = ["h"] + [f"p{i}" for i in range(n - 3)] + ["z"]
+        edges = [("l0", "h", 3), ("l1", "h", 3)]
+        for a, b in zip(chain, chain[1:]):
+            edges.append((a, b, 3))
+        edges[-1] = (edges[-1][0], edges[-1][1], 4)
+        out.append((f"AffB({n})", DynkinDiagram(tuple(verts), tuple(edges))))
+    if n >= 2:
+        out.append((f"AffC({n})", _path([4] + [3] * (n - 2) + [4])))
+    if n == 4:
+        star = DynkinDiagram(
+            ("c", "u0", "u1", "u2", "u3"),
+            tuple(("c", f"u{i}", 3) for i in range(4)),
+        )
+        out.append(("AffD(4)", star))
+    if n >= 5:
+        verts = ["l0", "l1", "h"] + [f"p{i}" for i in range(n - 5)] + ["k", "r0", "r1"]
+        chain = ["h"] + [f"p{i}" for i in range(n - 5)] + ["k"]
+        edges = [("l0", "h", 3), ("l1", "h", 3), ("r0", "k", 3), ("r1", "k", 3)]
+        for a, b in zip(chain, chain[1:]):
+            edges.append((a, b, 3))
+        out.append((f"AffD({n})", DynkinDiagram(tuple(verts), tuple(edges))))
+    if n == 6:
+        out.append(("AffE(6)", _tripod(2, 2, 2)))
+    if n == 7:
+        out.append(("AffE(7)", _tripod(1, 3, 3)))
+    if n == 8:
+        out.append(("AffE(8)", _tripod(1, 2, 5)))
+    if n == 4:
+        out.append(("AffF(4)", _path([3, 3, 4, 3])))
+    if n == 2:
+        out.append(("AffG(2)", _path([6, 3])))
+    return out
+
+
+def catalog_classify(d):
+    """(tag, name) of a connected finite-label diagram of rank >= 3, by
+    isomorphism search against the spherical catalog, then the affine one."""
+    for name, entry in spherical_entries(d.rank):
+        if is_isomorphic(d, entry):
+            return ("Spherical", name)
+    for name, entry in affine_entries(d.rank):
+        if is_isomorphic(d, entry):
+            return ("Affine", name)
+    return ("Other", None)

@@ -1,7 +1,9 @@
 """End-to-end tests for the artinkit command line.
 
-Every invocation goes through a real subprocess so the exit-code contract
-and byte-level output stability are exercised exactly as a shell sees them.
+Invocations go through a real subprocess so the exit-code contract and
+byte-level output stability are exercised exactly as a shell sees them. The
+one exception calls `cli.main` in process, to patch in the internal fault
+that its exit code reports.
 """
 
 import json
@@ -286,3 +288,14 @@ def test_jobs_do_not_change_bytes(dyn):
         r = run("check", "order", p, "--bound", "3", "--jobs", jobs)
         outs.append(r.stdout)
     assert outs[0] == outs[1]
+
+
+def test_invariant_violation_has_its_own_exit_code(dyn, monkeypatch, capsys):
+    # in process: a corrupted link helper trips the gate's invariant check
+    from artinkit import cli, theorem_gate
+
+    monkeypatch.setattr(theorem_gate, "_link_component",
+                        lambda source, removed, anchor: source.induced([anchor]))
+    assert cli.main(["gate", dyn("affA2.dyn", AFFA2)]) == cli.EXIT_INTERNAL == 7
+    err = capsys.readouterr().err
+    assert err == "internal error: link of a does not carry the rest of the cycle\n"

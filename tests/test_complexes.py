@@ -181,6 +181,20 @@ def test_rebuild_and_jobs_are_byte_identical():
     assert one == again == parallel
 
 
+def test_json_export_matches_json_dumps():
+    d1 = dynkin.DynkinDiagram(("a",), ())
+    blank = cpx.ball_from_json(
+        A2, {"vertices": [{"id": 0, "type": "a", "witness": "Δ^0 ·"}],
+             "edges": [], "inner": [], "bound": 0})
+    balls = [cpx.build_ball(d, ["a", "b", "c"], 4) for d in (A3, B3, H3)]
+    balls += [cpx.build_ball(d1, ["a"], 3), blank]
+    for ball in balls:
+        want = json.dumps(ball.to_json(), ensure_ascii=False, sort_keys=True,
+                          indent=2)
+        assert ball.to_json_str() == want
+    assert balls[-1].edges == () and balls[-1].inner == frozenset()
+
+
 def test_bound_monotonicity():
     # vertices keep their witnesses, edges never disappear, and the
     # smaller ball is induced on its inner part (boundary edges may

@@ -1,7 +1,10 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
+import oracles
 from artinkit import dynkin as dy
 from artinkit.errors import (
     EdgeNotInDiagram,
@@ -148,6 +151,82 @@ def test_classify_branching_types():
     assert name(affd5) == "AffD(5)"
 
 
+def _check_against_catalog(d):
+    got = dy.classify(d)
+    assert (got.tag, got.name) == oracles.catalog_classify(d), d.to_text()
+
+
+def _relabeled(d, rng):
+    """The same diagram under fresh names in a shuffled declaration order."""
+    names = {v: f"n{i}" for i, v in enumerate(rng.sample(d.vertices, d.rank))}
+    order = list(names.values())
+    rng.shuffle(order)
+    return dy.diagram(order, [(names[u], names[v], m) for (u, v, m) in d.edges])
+
+
+def _random_tree(rng, n, labels):
+    return [(rng.randrange(i), i, rng.choice(labels)) for i in range(1, n)]
+
+
+def _diagram(n, edges):
+    return dy.diagram([f"v{i}" for i in range(n)],
+                      [(f"v{u}", f"v{v}", m) for (u, v, m) in edges])
+
+
+def test_classify_matches_catalog_on_every_catalog_entry():
+    rng = random.Random(3)
+    for n in range(3, 10):
+        entries = oracles.spherical_entries(n) + oracles.affine_entries(n)
+        for name, entry in entries:
+            for d in (entry, _relabeled(entry, rng)):
+                _check_against_catalog(d)
+                assert dy.classify(d).name == name
+
+
+def test_classify_matches_catalog_on_all_small_trees():
+    # trees with parent[i] < i reach every tree shape; up to rank 5 the
+    # shape is fixed by the degree sequence
+    shapes = {}
+    for n in range(3, 6):
+        for parents in product(*(range(i) for i in range(1, n))):
+            degree = [0] * n
+            for i, p in enumerate(parents, start=1):
+                degree[i] += 1
+                degree[p] += 1
+            shapes.setdefault((n, tuple(sorted(degree))), parents)
+    assert len(shapes) == 1 + 2 + 3
+    for (n, _), parents in shapes.items():
+        for labels in product((3, 4, 5, 6), repeat=n - 1):
+            edges = [(p, i, m) for i, (p, m) in
+                     enumerate(zip(parents, labels), start=1)]
+            _check_against_catalog(_diagram(n, edges))
+
+
+def test_classify_matches_catalog_on_random_diagrams():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        n = rng.randint(6, 9)
+        shape = rng.choice(("tree", "tree3", "cycle", "graph"))
+        if shape in ("tree", "tree3"):
+            # mostly-3 trees hit the branched families and their near misses
+            labels = (3, 3, 3, 4, 5, 6) if shape == "tree" else (3,) * 12 + (4,)
+            edges = _random_tree(rng, n, labels)
+        elif shape == "cycle":
+            c = rng.randint(3, n)
+            edges = [(i, (i + 1) % c, rng.choice((3, 3, 3, 4))) for i in range(c)]
+            edges += [(rng.randrange(i), i, rng.choice((3, 3, 4)))
+                      for i in range(c, n)]
+        else:
+            edges = _random_tree(rng, n, (3, 3, 4, 5))
+            pairs = {frozenset(e[:2]) for e in edges}
+            for _ in range(rng.randint(1, 3)):
+                u, v = rng.sample(range(n), 2)
+                if frozenset((u, v)) not in pairs:
+                    pairs.add(frozenset((u, v)))
+                    edges.append((u, v, rng.choice((3, 4))))
+        _check_against_catalog(_relabeled(_diagram(n, edges), rng))
+
+
 def test_classify_requires_connected_finite_labels():
     scattered = D("abc", [("a", "b", 3)])
     with pytest.raises(NotConnected):
@@ -196,6 +275,10 @@ def test_isomorphism_respects_labels():
     assert dy.is_isomorphic(d1, d2)
     assert not dy.is_isomorphic(d1, dy.path_diagram("xyz", [3, 3]))
     assert not dy.is_isomorphic(d1, dy.path_diagram("wxyz", [3, 4, 3]))
+    # an infinite label sorts with the finite ones
+    d3 = dy.path_diagram("abc", [3, dy.INFINITY])
+    assert dy.is_isomorphic(d3, dy.path_diagram("xyz", [dy.INFINITY, 3]))
+    assert not dy.is_isomorphic(d3, d1)
 
 
 # local reducibility and admissibility --------------------------------------

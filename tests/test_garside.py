@@ -389,8 +389,9 @@ def test_table_matches_word_multiplication():
             assert (t.ldivs[w], t.rdivs[w]) == (ldivs, rdivs)
 
 
-# Each snippet corrupts the B3 table and must end in InvariantViolated,
-# with the given message, even with assertions stripped by `python -O`.
+# Each snippet corrupts the B3 table, or a helper of a layer above it, and
+# must end in InvariantViolated, with the given message, even with
+# assertions stripped by `python -O`.
 CORRUPTIONS = {
     "divisor did not divide out": """
 # every division step claims the divisor passes through untouched
@@ -408,6 +409,23 @@ t.normalize(0, (a, b))
 from artinkit import complexes
 t.coset_key = lambda raw, X, shift: X
 complexes.apartment_cycle(d)
+""",
+    # every element claimed minimal in its coset: each face count of the
+    # B3 complex becomes |W| = 48, and so does the alternating sum
+    "Euler characteristic 48 != 2": """
+from artinkit import complexes, coxeter
+coxeter.Enumeration.coset_minima = lambda en, T: list(range(len(en.words)))
+complexes.build_coxeter_complex(d)
+""",
+    "link of x does not carry the rest of the cycle": """
+from artinkit import theorem_gate as tg
+tg._link_component = lambda source, removed, anchor: source.induced([anchor])
+tg.gate_cycle(dynkin.cycle_diagram(list("xyz"), [3, 3, 3]))
+""",
+    "folded branches admit no assumptions": """
+from artinkit import theorem_gate as tg
+tg._cycle_links = lambda source, cycle, branches, folding: ([], ("h",), None)
+tg.gate_folded(dynkin.cycle_diagram(list("xyz"), [3, 3, 3]))
 """,
 }
 

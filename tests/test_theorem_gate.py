@@ -1,5 +1,6 @@
 """Gate verdicts on catalog diagrams, frozen certificates, search bounds."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -441,3 +442,68 @@ def test_verdict_json_shape():
     assert "conditional, 2 assumptions" in w.render()
     bad = tg.gate_tree(K4)
     assert "NotATree" in bad.render()
+
+
+# -- induced cycles against a subset scan ---------------------------------------
+
+
+def _subset_scan_cycles(d):
+    """Induced cycles by brute force: every vertex subset of size >= 3 whose
+    induced subdiagram is a cycle, walked from its first-declared vertex
+    towards that vertex's first-declared neighbor."""
+    out = []
+    for k in range(3, d.rank + 1):
+        for sub in combinations(d.vertices, k):
+            s = d.induced(sub)
+            if len(s.edges) != k or not s.is_connected():
+                continue
+            if any(s.degree(v) != 2 for v in sub):
+                continue
+            order = [sub[0], s.neighbors(sub[0])[0]]
+            while True:
+                nxt = [w for w in s.neighbors(order[-1]) if w != order[-2]][0]
+                if nxt == sub[0]:
+                    break
+                order.append(nxt)
+            out.append(tuple(order))
+    return out
+
+
+def _random_graph(rng, n, p):
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    edges = [(u, v, rng.choice((3, 4, 5))) for u, v in combinations(names, 2)
+             if rng.random() < p]
+    return dynkin.diagram(names, edges)
+
+
+def test_induced_cycles_match_subset_scan_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        d = _random_graph(rng, rng.randint(3, 9), rng.choice((0.25, 0.4, 0.6)))
+        assert tg.induced_cycles(d) == _subset_scan_cycles(d), d.to_text()
+
+
+def test_induced_cycles_match_subset_scan_on_folding_targets():
+    # twins (same labeled neighbors, not adjacent) fold together, so the
+    # targets carry "+"-joined vertex names
+    rng = random.Random(7)
+    targets = 0
+    for _ in range(150):
+        base = _random_graph(rng, rng.randint(3, 6), 0.5)
+        names = list(base.vertices)
+        edges = list(base.edges)
+        doubled = rng.sample(names, rng.randint(1, 2))
+        groups = [(v, v + "t") for v in doubled]
+        for v, twin in groups:
+            names.insert(rng.randrange(len(names) + 1), twin)
+            edges += [(twin, u, base.label(v, u)) for u in base.neighbors(v)]
+        if len(doubled) == 2 and base.has_edge(*doubled):
+            edges.append((groups[0][1], groups[1][1], base.label(*doubled)))
+        d = dynkin.diagram(names, edges)
+        assert tg.induced_cycles(d) == _subset_scan_cycles(d)
+        t = dynkin.quotient_folding(d, groups).target
+        assert any("+" in v for v in t.vertices)
+        assert tg.induced_cycles(t) == _subset_scan_cycles(t), t.to_text()
+        targets += bool(tg.induced_cycles(t))
+    assert targets > 30
