@@ -13,8 +13,9 @@ structure the enumeration is known to cover.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from multiprocessing import get_context
 
 from . import dynkin
@@ -190,56 +191,45 @@ def ball_from_json(d, blob, type_parabolic=None):
 
 
 def _sequence_counts(t, upto):
-    """counts[k] = number of normal factor sequences of length k."""
-    follows = t.build_follows()
-    proper = t.proper
+    """counts[k] = number of normal factor sequences of length k.
+
+    t may follow s iff L(t) ⊆ R(s), so the count runs over the right-descent
+    mask of the last factor, weighted by the simples of each mask pair.
+    """
+    pairs = Counter((t.ldesc[x], t.rdesc[x]) for x in t.proper)
+    vec = Counter(t.rdesc[x] for x in t.proper)
     counts = [1]
-    vec = {v: 1 for v in proper}
     for _ in range(upto):
         counts.append(sum(vec.values()))
-        nxt = {v: 0 for v in proper}
-        for v, c in vec.items():
-            if not c:
-                continue
-            for w in follows[v]:
-                nxt[w] += c
+        nxt = Counter()
+        for m, c in vec.items():
+            for (left, right), k in pairs.items():
+                if not left & ~m:
+                    nxt[right] += c * k
         vec = nxt
     return counts
 
 
-def _layer_size(counts, r):
-    if r == 0:
-        return 1
-    total = counts[r] if r < len(counts) else 0
-    for j in range(1, r + 1):
-        k = r - j
-        mult = 2  # delta powers +j and -j
-        total += mult * (counts[k] if k < len(counts) else 0)
-    return total
-
-
 def effective_bound(t, bound, max_chambers):
     counts = _sequence_counts(t, bound)
-    cum = 0
-    eff = -1
-    for r in range(bound + 1):
-        cum += _layer_size(counts, r)
-        if cum > max_chambers:
-            break
-        eff = r
-    if eff < min(bound, 2):
+    # layer r: the sequences of length r, and those of length r - j behind
+    # Δ^j and Δ^-j for each 1 <= j <= r
+    cum = list(accumulate(
+        c + 2 * below for c, below in zip(counts, accumulate([0] + counts))))
+    eff = sum(1 for c in cum if c <= max_chambers) - 1
+    least = min(bound, 2)
+    if eff < least:
         raise BoundTooLarge(
             max_chambers,
-            f"cannot enumerate even radius {min(bound, 2)} within "
-            f"{max_chambers} chambers",
+            f"cannot enumerate even radius {least} within {max_chambers} "
+            f"chambers; radius {least} needs max_chambers={cum[least]}",
         )
     return eff
 
 
 def _sequences(t, k):
     """All normal factor sequences of length k, lexicographic by index."""
-    follows = t.build_follows()
-    proper = t.proper
+    follows = t.follows
     if k == 0:
         yield ()
         return
@@ -251,7 +241,7 @@ def _sequences(t, k):
         for w in follows[seq[-1]]:
             yield from extend(seq + (w,), depth + 1)
 
-    for v in proper:
+    for v in t.proper:
         yield from extend((v,), 1)
 
 

@@ -122,26 +122,29 @@ class DynkinDiagram:
         edges = tuple(e for e in self.edges if e[0] in sub and e[1] in sub)
         return DynkinDiagram(verts, edges)
 
+    def _reach(self, v):
+        """The vertices joined to v by a path, v included."""
+        seen, stack = {v}, [v]
+        while stack:
+            for u in self._adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
+
     def components(self):
         """Connected components as tuples of vertices in declaration order."""
         seen = set()
         comps = []
         for v in self.vertices:
-            if v in seen:
-                continue
-            stack, comp = [v], set()
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(self._adj[x])
-            seen |= comp
-            comps.append(tuple(u for u in self.vertices if u in comp))
+            if v not in seen:
+                comp = self._reach(v)
+                seen |= comp
+                comps.append(tuple(u for u in self.vertices if u in comp))
         return comps
 
     def is_connected(self):
-        return len(self.components()) <= 1
+        return not self.vertices or len(self._reach(self.vertices[0])) == self.rank
 
     def is_tree(self):
         return self.is_connected() and len(self.edges) == len(self.vertices) - 1

@@ -3,8 +3,11 @@
 An element is Δ^k · f_1 ⋯ f_l where the f_i are simples (positive lifts of
 Coxeter group elements), no factor is trivial or Δ, and each consecutive
 pair is left-weighted.  All lattice/divisibility computations reduce to
-finite Coxeter-group tables built once per diagram: multiplication, descent
-masks and divisor bitsets, from which meets of simples are read.
+arrays of the finite Coxeter group with one row per element and at most
+one column per generator: left and right multiplication by a generator,
+inverse, descent masks, support, τ and the complements in Δ.  A product
+of simples is ℓ(v) steps of right multiplication, and a weak-order meet
+strips common descents one generator at a time.
 
 The hot paths (the left-weighting step of `normalize`, and the tail fold
 and division step of `coset_key`) read flat tables of pairs of simples,
@@ -38,80 +41,65 @@ from .errors import (
 )
 
 
-# Largest Coxeter group materialized as full tables; big enough for F(4),
-# far too small for H(4)/E(n) whose W×W tables would not be desk scale.
-MAX_TABLE = 1300
+# Largest Coxeter group given a Garside table. Every array of the table has
+# O(|W|·rank) entries, so the cap covers H(4) (|W| = 14,400) and E(6)
+# (|W| = 51,840), and stops the enumeration of E(7) and larger.
+MAX_TABLE = 60_000
 
 
 class GarsideTable:
     """Finite Coxeter tables backing Garside arithmetic for one diagram.
 
     Elements of W are integers indexing the ShortLex enumeration; index 0 is
-    the identity. Built lazily once per diagram and then read-only.
+    the identity and w0 comes last. Built once per diagram; afterwards only
+    the lazily filled flat tables change.
     """
 
     def __init__(self, d):
         if not is_spherical(d):
             raise NotSpherical(f"not a spherical diagram: {d.vertices}")
         self.d = d
-        eng = cx.engine(d)
-        self.eng = eng
+        self.eng = eng = cx.engine(d)
         en = eng.enumerate(cap=MAX_TABLE)
-        words = en.words
-        self.words = words
+        self.words = words = en.words
         self.idx = {w: i for i, w in enumerate(words)}
-        self.n = len(words)
-        self.length = [len(w) for w in words]
+        self.n = n = len(words)
+        self.length = length = [len(w) for w in words]
+        self.rank = {s: i for i, s in enumerate(d.vertices)}
         self.gen = {s: self.idx[(s,)] for s in d.vertices}
-        self.gens = [self.gen[s] for s in d.vertices]
-        # column v of mul is column parent(v) followed by the letter last(v)
-        by_gen = [list(col) for col in zip(*en.rmul)]
-        cols = [list(range(self.n))]
-        for v in range(1, self.n):
-            cols.append(list(map(
-                by_gen[en.last[v]].__getitem__, cols[en.parent[v]])))
-        self.mul = [list(row) for row in zip(*cols)]
-        self.inv = [row.index(0) for row in self.mul]
-        self.w0i = max(range(self.n), key=lambda i: self.length[i])
-        w0 = self.w0i
-        self.tau = [self.mul[self.mul[w0][x]][w0] for x in range(self.n)]
-        if any(self.tau[self.tau[x]] != x for x in range(self.n)):
+        # rmul[x][i] = x·s_i. With x = p·s_k (p = parent, k = last letter),
+        # s_i·x = (s_i·p)·s_k and x⁻¹ = s_k·p⁻¹ read rows of shorter elements,
+        # which come earlier in ShortLex order
+        self.rmul = rmul = en.rmul
+        parent, last = en.parent, en.last
+        lmul = [rmul[0]] * n
+        inv = [0] * n
+        for x in range(1, n):
+            p, k = parent[x], last[x]
+            lmul[x] = [rmul[y][k] for y in lmul[p]]
+            inv[x] = lmul[inv[p]][k]
+        self.lmul, self.inv = lmul, inv
+        self.w0i = w0 = n - 1
+        # τ(s_i) = w0·s_i·w0 is the generator s_j with s_i·w0 = w0·s_j, and
+        # τ acts letter by letter; x⁻¹·w0 = s_k·(p⁻¹·w0) and w0·x⁻¹ = τ(x⁻¹·w0);
+        # supp is the mask of letters of the canonical word
+        tgen = [lmul[w0].index(y) for y in rmul[w0]]
+        tau, supp, rcomp = [0] * n, [0] * n, [w0] * n
+        for x in range(1, n):
+            p, k = parent[x], last[x]
+            tau[x] = rmul[tau[p]][tgen[k]]
+            supp[x] = supp[p] | 1 << k
+            rcomp[x] = lmul[rcomp[p]][k]
+        if any(tau[tau[x]] != x for x in range(n)):
             raise InvariantViolated("conjugation by Δ is not an involution")
+        self.tau, self.supp = tau, supp
+        self.rcomp = rcomp  # x·rcomp = w0
+        self.lcomp = [tau[y] for y in rcomp]  # lcomp·x = w0
         # descent masks over the generator declaration order
-        gi = {s: i for i, s in enumerate(d.vertices)}
-        self.ldesc = [0] * self.n
-        self.rdesc = [0] * self.n
-        for x in range(self.n):
-            for s, i in gi.items():
-                if self.length[self.mul[self.gen[s]][x]] < self.length[x]:
-                    self.ldesc[x] |= 1 << i
-                if self.length[self.mul[x][self.gen[s]]] < self.length[x]:
-                    self.rdesc[x] |= 1 << i
-        # support masks (letters of the canonical word)
-        self.supp = [
-            sum(1 << gi[s] for s in set(w)) for w in words
-        ]
-        # left/right divisor bitsets for brute meets, in ShortLex order: u
-        # is a prefix of w iff u = w or u is a prefix of w·s for a right
-        # descent s, and dually for suffixes and left descents
-        self.ldivs = [0] * self.n
-        self.rdivs = [0] * self.n
-        for w in range(self.n):
-            ld = rd = 1 << w
-            for i, g in enumerate(self.gens):
-                if self.rdesc[w] >> i & 1:
-                    ld |= self.ldivs[en.rmul[w][i]]
-                if self.ldesc[w] >> i & 1:
-                    rd |= self.rdivs[self.mul[g][w]]
-            self.ldivs[w] = ld
-            self.rdivs[w] = rd
-        self.by_length_desc = sorted(
-            range(self.n), key=lambda i: -self.length[i]
-        )
-        self.rcomp = [self.mul[self.inv[x]][w0] for x in range(self.n)]  # x·rcomp = w0
-        self.lcomp = [self.mul[w0][self.inv[x]] for x in range(self.n)]  # lcomp·x = w0
-        self._meet_l = {}
-        self._meet_r = {}
+        self.ldesc, self.rdesc = (
+            [sum(1 << i for i, y in enumerate(row) if length[y] < length[x])
+             for x, row in enumerate(rows)] for rows in (lmul, rmul))
+        self.proper = range(1, w0)  # neither the identity nor Δ
         self._w0_parabolic = {}
         # flat tables keyed by u·n + v, filled on first lookup
         self._left_weight = {}  # left-weighted pair for u·v, () if normal
@@ -121,52 +109,37 @@ class GarsideTable:
         self._cut = {}
         # (X, d) → minimal positive representative of Δ^d·A_X
         self._delta_cosets = {}
-        # normal successor lists for ball enumeration: t follows s iff
-        # every left descent of t is a right descent of s
-        self.follows = None
+
+    def product(self, u, v):
+        """u·v in W, by ℓ(v) steps of right multiplication."""
+        rmul, rank = self.rmul, self.rank
+        for s in self.words[v]:
+            u = rmul[u][rank[s]]
+        return u
 
     def meet_l(self, u, v):
-        """Longest common left-divisor (weak-order meet)."""
-        if u == v:
+        """Longest common left-divisor (weak-order meet); w0 is the top."""
+        if u == v or v == self.w0i:
             return u
-        key = (u, v) if u < v else (v, u)
-        hit = self._meet_l.get(key)
-        if hit is None:
-            both = self.ldivs[u] & self.ldivs[v]
-            for i in self.by_length_desc:
-                if both >> i & 1:
-                    hit = i
-                    break
-            self._meet_l[key] = hit
-        return hit
+        return v if u == self.w0i else _meet(u, v, self.ldesc, self.lmul, self.rmul)
 
     def meet_r(self, u, v):
-        if u == v:
+        """Longest common right-divisor."""
+        if u == v or v == self.w0i:
             return u
-        key = (u, v) if u < v else (v, u)
-        hit = self._meet_r.get(key)
-        if hit is None:
-            both = self.rdivs[u] & self.rdivs[v]
-            for i in self.by_length_desc:
-                if both >> i & 1:
-                    hit = i
-                    break
-            self._meet_r[key] = hit
-        return hit
+        return v if u == self.w0i else _meet(u, v, self.rdesc, self.rmul, self.lmul)
 
     def is_normal(self, s, t):
         return self.ldesc[t] & ~self.rdesc[s] == 0
 
-    def build_follows(self):
-        if self.follows is None:
-            proper = [
-                x for x in range(self.n) if x != 0 and x != self.w0i
-            ]
-            self.follows = {
-                s: [t for t in proper if self.is_normal(s, t)] for s in proper
-            }
-            self.proper = proper
-        return self.follows
+    @cached_property
+    def follows(self):
+        """Normal successors for ball enumeration, in index order: t follows
+        s iff L(t) ⊆ R(s), so one list serves each right-descent mask."""
+        ldesc, rdesc, proper = self.ldesc, self.rdesc, self.proper
+        by_mask = {m: [t for t in proper if not ldesc[t] & ~m]
+                   for m in {rdesc[s] for s in proper}}
+        return {s: by_mask[rdesc[s]] for s in proper}
 
     def w0_parabolic(self, X):
         """Index of the longest element of W_X."""
@@ -218,7 +191,7 @@ class GarsideTable:
         d, fs = a
         out = (0, ())
         for f in reversed(fs):
-            out = self.raw_multiply(out, (-1, (self.mul[self.w0i][self.inv[f]],)))
+            out = self.raw_multiply(out, (-1, (self.lcomp[f],)))
         return self.raw_multiply(out, (-d, ()))
 
     def head(self, a):
@@ -316,15 +289,15 @@ class GarsideTable:
         if u == 0 or v == 0 or self.is_normal(u, v):
             return ()
         c = self.meet_l(self.rcomp[u], v)
-        return self.mul[u][c], self.mul[self.inv[c]][v]
+        return self.product(u, c), self.product(self.inv[c], v)
 
     def _simple_tail(self, u, v):
-        return self.mul[self.meet_r(u, self.lcomp[v])][v]
+        return self.product(self.meet_r(u, self.lcomp[v]), v)
 
     def _division_step(self, c, g):
-        mul, inv = self.mul, self.inv
-        j = mul[inv[self.meet_l(self.lcomp[c], self.lcomp[g])]][self.w0i]
-        return mul[j][inv[c]], mul[j][inv[g]]
+        inv = self.inv
+        j = self.rcomp[self.meet_l(self.lcomp[c], self.lcomp[g])]
+        return self.product(j, inv[c]), self.product(j, inv[g])
 
     @cached_property
     def simples(self):
@@ -339,6 +312,22 @@ class GarsideTable:
         for f in fs:
             mask |= self.supp[f]
         return mask
+
+
+def _meet(u, v, desc, strip, grow):
+    """Meet of u and v by stripping common descents one generator at a time.
+
+    A common left descent s lies below the left meet, and then
+    meet(u, v) = s·meet(s·u, s·v); the right meet is the mirror image.
+    `strip` removes s from u and v, `grow` appends it to the meet.
+    """
+    out = 0
+    both = desc[u] & desc[v]
+    while both:
+        i = (both & -both).bit_length() - 1
+        u, v, out = strip[u][i], strip[v][i], grow[out][i]
+        both = desc[u] & desc[v]
+    return out
 
 
 _TABLES = {}
@@ -434,7 +423,7 @@ def from_letters(d, letters):
         if sign > 0:
             raw = t.raw_multiply(raw, (0, (g,)))
         else:
-            raw = t.raw_multiply(raw, (-1, (t.mul[t.w0i][g],)))
+            raw = t.raw_multiply(raw, (-1, (t.lcomp[g],)))
     return _wrap(t, raw)
 
 
@@ -574,7 +563,8 @@ def letters_of(g):
 
 
 def _positive_letters(p):
-    assert p.is_positive()
+    if not p.is_positive():
+        raise InvariantViolated("np-form half is not positive")
     letters = []
     for _ in range(p.delta_power):
         letters.extend(cx.engine(p.group).longest_parabolic(p.group.vertices))
@@ -617,7 +607,7 @@ def center_of(d, X):
     dx = delta_of(d, X)
     w0x = t.w0_parabolic(frozenset(X))
     central = all(
-        t.mul[t.mul[w0x][t.gen[s]]][w0x] == t.gen[s] for s in X
+        t.product(t.product(w0x, t.gen[s]), w0x) == t.gen[s] for s in X
     )
     return dx if central else multiply(dx, dx)
 
@@ -639,7 +629,9 @@ def elementary_conjugator(d, X, tgen):
     for s in X:
         conj = multiply(multiply(r, gens[s]), ri)
         image = [u for u, el in gens.items() if el == conj]
-        assert len(image) == 1, "ribbon conjugate of a generator must be a generator"
+        if len(image) != 1:
+            raise InvariantViolated(
+                "ribbon conjugate of a generator must be a generator")
         X2.add(image[0])
     return r, frozenset(X2)
 
@@ -700,8 +692,10 @@ def _ribbon_reconstruct(t, g, X, raw, Ytop, path):
     for (r, _, _) in chain:
         prod = multiply(prod, r)
     tail = multiply(inverse(prod), g)
-    assert in_parabolic(tail, X), "ribbon tail must lie in the base parabolic"
-    assert multiply(prod, tail) == g
+    if not in_parabolic(tail, X):
+        raise InvariantViolated("ribbon tail must lie in the base parabolic")
+    if multiply(prod, tail) != g:
+        raise InvariantViolated("ribbon chain times tail must give back g")
     return chain, tail
 
 

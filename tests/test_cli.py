@@ -149,6 +149,13 @@ def test_ball_cap_exit5(dyn):
     r = run("ball", p, "--bound", "8", "--max-chambers", "5")
     assert r.returncode == 5
     assert "max_chambers" in r.stderr
+    # the error names the smallest cap that fits radius 2: 1 + 8 + 32
+    assert "radius 2 needs max_chambers=41" in r.stderr
+    assert r.stdout == ""
+    assert run("ball", p, "--bound", "8", "--max-chambers", "40").returncode == 5
+    r = run("ball", p, "--bound", "8", "--max-chambers", "41")
+    assert r.returncode == 0
+    assert "effective_bound 2\nchambers 41\n" in r.stdout
 
 
 def test_girth_found(dyn):
