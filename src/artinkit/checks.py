@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import dynkin
-from .errors import NotAdmissible, NotATree
+from .errors import InvariantViolated, NotAdmissible, NotATree
 
 VERIFIED = "VERIFIED"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -449,6 +449,8 @@ def wheel_fillers_from_bowties(ball, orientation, bowtie_verdict):
         lo = rank[ball.vertex(x1).type]
         hi = rank[ball.vertex(y1).type]
         zr = rank[ball.vertex(z).type]
-        assert lo < zr < hi
+        if not lo < zr < hi:
+            raise InvariantViolated(
+                "bowtie middle type must lie strictly between the end types")
         derived.append(((x1, y1, x2, y2), z))
     return derived

@@ -569,13 +569,14 @@ def folded_comparison(folded_ball, folding, plain_ball):
         image = []
         for s in fiber:
             pv = plain_ball.locate(v.witness, s)
-            assert pv is not None, (
-                "comparison image must lie in the plain ball at equal bound"
-            )
+            if pv is None:
+                raise InvariantViolated(
+                    "comparison image must lie in the plain ball at equal bound")
             image.append(pv)
         for i in range(len(image)):
             for j in range(i + 1, len(image)):
                 a, b = image[i], image[j]
-                assert (min(a, b), max(a, b)) in plain_ball._edge_set
+                if (min(a, b), max(a, b)) not in plain_ball._edge_set:
+                    raise InvariantViolated("comparison image must be a simplex")
         out[v.id] = tuple(image)
     return out

@@ -30,10 +30,11 @@ are idempotent, so concurrent readers in one process observe serial behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .dynkin import DynkinDiagram, INFINITY, is_spherical
-from .errors import CapExceeded, NotSpherical, UnknownGenerator
+from .errors import CapExceeded, InvariantViolated, NotSpherical, UnknownGenerator
 
 
 @dataclass(frozen=True)
@@ -357,16 +358,16 @@ class _ClosureEngine(_Engine):
         return self.rmult(state, self.gens[k])
 
 
-_ENGINES = {}
+# Diagrams whose engine (and, in `garside`, whose table) stays cached; the
+# least recently used is dropped beyond this, and rebuilt on demand with the
+# same ShortLex indices.
+CACHED_DIAGRAMS = 16
 
 
+@lru_cache(maxsize=CACHED_DIAGRAMS)
 def engine(d):
-    eng = _ENGINES.get(d)
-    if eng is None:
-        geometric = all(m in _CARTAN for _, _, m in d.edges)
-        eng = (_Engine if geometric else _ClosureEngine)(d)
-        _ENGINES[d] = eng
-    return eng
+    geometric = all(m in _CARTAN for _, _, m in d.edges)
+    return (_Engine if geometric else _ClosureEngine)(d)
 
 
 # -- public operations -------------------------------------------------------
@@ -439,7 +440,8 @@ def gate_projection(x, T, side="right"):
         raise ValueError("side must be 'right' or 'left'")
     gate = CoxeterElement(x.group, w)
     tail_el = CoxeterElement(x.group, tail)
-    assert gate.length + tail_el.length == x.length
+    if gate.length + tail_el.length != x.length:
+        raise InvariantViolated("gate and tail lengths must add up to the length of x")
     return GateResult(gate, tail_el, tail_el.length)
 
 
@@ -485,19 +487,21 @@ def pair_gate(d, T1, g1, T2, g2):
     back = {}
     for x in X:
         nearest = [y for y in C2 if dist(x, y) == best]
-        assert len(nearest) == 1, "nearest point must be unique"
-        assert nearest[0] in Y
+        if len(nearest) != 1:
+            raise InvariantViolated("nearest point must be unique")
+        if nearest[0] not in Y:
+            raise InvariantViolated("nearest point must lie in the gate set")
         pairs.append((x, nearest[0]))
     for y in Y:
         nearest = [x for x in C1 if dist(x, y) == best]
-        assert len(nearest) == 1, "nearest point must be unique"
+        if len(nearest) != 1:
+            raise InvariantViolated("nearest point must be unique")
         back[y] = nearest[0]
-    for x, y in pairs:
-        assert back[y] == x, "nearest-point maps must be inverse bijections"
-    for part, whole in ((X, C1), (Y, C2)):
-        assert _is_translated_parabolic(eng, part), (
-            "gate set must be a translated standard parabolic coset"
-        )
+    if any(back[y] != x for x, y in pairs):
+        raise InvariantViolated("nearest-point maps must be inverse bijections")
+    if not all(_is_translated_parabolic(eng, part) for part in (X, Y)):
+        raise InvariantViolated(
+            "gate set must be a translated standard parabolic coset")
     return X, Y, pairs
 
 

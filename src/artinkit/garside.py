@@ -2,12 +2,18 @@
 
 An element is Δ^k · f_1 ⋯ f_l where the f_i are simples (positive lifts of
 Coxeter group elements), no factor is trivial or Δ, and each consecutive
-pair is left-weighted.  All lattice/divisibility computations reduce to
-arrays of the finite Coxeter group with one row per element and at most
-one column per generator: left and right multiplication by a generator,
-inverse, descent masks, support, τ and the complements in Δ.  A product
-of simples is ℓ(v) steps of right multiplication, and a weak-order meet
-strips common descents one generator at a time.
+pair is left-weighted.  Simples are read from arrays of the finite Coxeter
+group with one row per element and at most one column per generator: left
+and right multiplication by a generator, inverse, descent masks, support,
+τ and the complements in Δ.  A product of simples is ℓ(v) steps of right
+multiplication, and a weak-order meet strips common descents one generator
+at a time.
+
+Inverses and np-forms are read off the left normal form through the
+complements ∂f = f⁻¹·Δ (Epstein et al., Word Processing in Groups, ch. 9).
+Every gcd and lcm is then a fraction (Dehornoy et al., Foundations of
+Garside Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ in coprime form,
+x ∧ y = x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
 
 The hot paths (the left-weighting step of `normalize`, and the tail fold
 and division step of `coset_key`) read flat tables of pairs of simples,
@@ -25,7 +31,7 @@ spherical type, which the table checks at build time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import coxeter as cx
@@ -52,7 +58,7 @@ class GarsideTable:
 
     Elements of W are integers indexing the ShortLex enumeration; index 0 is
     the identity and w0 comes last. Built once per diagram; afterwards only
-    the lazily filled flat tables change.
+    the lazily filled flat tables and boxed simples change.
     """
 
     def __init__(self, d):
@@ -100,6 +106,7 @@ class GarsideTable:
             [sum(1 << i for i, y in enumerate(row) if length[y] < length[x])
              for x, row in enumerate(rows)] for rows in (lmul, rmul))
         self.proper = range(1, w0)  # neither the identity nor Δ
+        self.simples = [None] * n  # boxed by `simple` on first wrap
         self._w0_parabolic = {}
         # flat tables keyed by u·n + v, filled on first lookup
         self._left_weight = {}  # left-weighted pair for u·v, () if normal
@@ -188,18 +195,40 @@ class GarsideTable:
         return self.normalize(d1 + d2, f1 + f2)
 
     def raw_inverse(self, a):
-        d, fs = a
-        out = (0, ())
-        for f in reversed(fs):
-            out = self.raw_multiply(out, (-1, (self.lcomp[f],)))
-        return self.raw_multiply(out, (-d, ()))
+        """(Δ^d·f1⋯fl)⁻¹ = Δ^−(d+l)·τ^(d+l)(∂fl)⋯τ^(d+1)(∂f1), ∂f = `rcomp`[f].
 
-    def head(self, a):
-        """Max simple left-divisor of a positive element."""
+        The complements come out left-weighted; `normalize` checks it in one pass.
+        """
         d, fs = a
-        if d > 0:
-            return self.w0i
-        return fs[0] if fs else 0
+        e = d + len(fs)
+        comps = (self.rcomp, self.lcomp)
+        return self.normalize(
+            -e, [comps[(e - i) % 2][f] for i, f in enumerate(reversed(fs))])
+
+    def raw_rev(self, a):
+        """Word reversal, the anti-automorphism with rev(x·y) = rev(y)·rev(x)."""
+        d, fs = a
+        flip = [self.inv[f] for f in reversed(fs)]
+        if d % 2:
+            flip = [self.tau[f] for f in flip]
+        return self.normalize(d, flip)
+
+    def raw_np(self, a):
+        """(neg, pos) with a = neg⁻¹·pos and neg ∧ pos = 1.
+
+        For a = Δ^−k·f1⋯fl with k > 0, Δ^k ∧ Δ^k·a is f1⋯f_min(k,l), so
+        pos = f_(k+1)⋯fl and neg⁻¹ = Δ^−k·f1⋯f_min(k,l).
+        """
+        d, fs = a
+        if d >= 0:
+            return (0, ()), a
+        k = -d
+        return self.raw_inverse((d, fs[:k])), (0, fs[k:])
+
+    def raw_pn(self, a):
+        """(neg, pos) with a = pos·neg⁻¹ and neg ∧_R pos = 1: rev ∘ np ∘ rev."""
+        neg, pos = self.raw_np(self.raw_rev(a))
+        return self.raw_rev(neg), self.raw_rev(pos)
 
     def coset_key(self, a, X, shift):
         """Canonical token of the left coset a·A_X, comparable for a fixed shift.
@@ -299,19 +328,10 @@ class GarsideTable:
         j = self.rcomp[self.meet_l(self.lcomp[c], self.lcomp[g])]
         return self.product(j, inv[c]), self.product(j, inv[g])
 
-    @cached_property
-    def simples(self):
-        """One immutable Simple per element of W, shared by every wrap."""
-        return [Simple(cx.CoxeterElement(self.d, w)) for w in self.words]
-
-    def support_mask(self, a):
-        d, fs = a
-        if d != 0:
-            return (1 << len(self.d.vertices)) - 1
-        mask = 0
-        for f in fs:
-            mask |= self.supp[f]
-        return mask
+    def simple(self, f):
+        """The immutable Simple of index f, made once and shared by every wrap."""
+        s = self.simples[f] = Simple(cx.CoxeterElement(self.d, self.words[f]))
+        return s
 
 
 def _meet(u, v, desc, strip, grow):
@@ -330,15 +350,9 @@ def _meet(u, v, desc, strip, grow):
     return out
 
 
-_TABLES = {}
-
-
+@lru_cache(maxsize=cx.CACHED_DIAGRAMS)
 def table(d):
-    t = _TABLES.get(d)
-    if t is None:
-        t = GarsideTable(d)
-        _TABLES[d] = t
-    return t
+    return GarsideTable(d)
 
 
 @dataclass(frozen=True)
@@ -388,7 +402,7 @@ class NpForm:
 def _wrap(t, raw):
     d, fs = raw
     simples = t.simples
-    return GarsideElement(t.d, d, tuple(simples[f] for f in fs))
+    return GarsideElement(t.d, d, tuple(simples[f] or t.simple(f) for f in fs))
 
 
 def _raw(t, g):
@@ -457,73 +471,51 @@ def delta(d, k=1):
     return GarsideElement(d, k, ())
 
 
+def _positive_raws(x, y, name):
+    t = _common_table(x, y)
+    if not (x.is_positive() and y.is_positive()):
+        raise NotPositive(f"{name} requires positive elements")
+    return t, _raw(t, x), _raw(t, y)
+
+
 def left_gcd(x, y):
-    """Greatest common left-divisor of two positive elements."""
-    t = _common_table(x, y)
-    if not (x.is_positive() and y.is_positive()):
-        raise NotPositive("left_gcd requires positive elements")
-    a, b = _raw(t, x), _raw(t, y)
-    out = (0, ())
-    while True:
-        c = t.meet_l(t.head(a), t.head(b))
-        if c == 0:
-            return _wrap(t, out)
-        step = (0, (c,))
-        inv_step = t.raw_inverse(step)
-        out = t.raw_multiply(out, step)
-        a = t.raw_multiply(inv_step, a)
-        b = t.raw_multiply(inv_step, b)
-
-
-def rev(x):
-    """The word-reversal anti-automorphism: rev(xy) = rev(y)·rev(x)."""
-    t = table(x.group)
-    d, fs = _raw(t, x)
-    flipped = tuple(t.inv[f] for f in reversed(fs))
-    if d % 2:
-        flipped = tuple(t.tau[f] for f in flipped)
-    return _wrap(t, t.normalize(d, flipped))
-
-
-def right_gcd(x, y):
-    t = _common_table(x, y)
-    if not (x.is_positive() and y.is_positive()):
-        raise NotPositive("right_gcd requires positive elements")
-    return rev(left_gcd(rev(x), rev(y)))
+    """Greatest common left-divisor of positive x, y: x·a⁻¹ for x⁻¹·y = a⁻¹·b."""
+    t, x, y = _positive_raws(x, y, "left_gcd")
+    a, _ = t.raw_np(t.raw_multiply(t.raw_inverse(x), y))
+    return _wrap(t, t.raw_multiply(x, t.raw_inverse(a)))
 
 
 def left_lcm(x, y):
-    """Least common right-multiple of two positive elements under prefix order."""
-    t = _common_table(x, y)
-    if not (x.is_positive() and y.is_positive()):
-        raise NotPositive("left_lcm requires positive elements")
-    n = max(x.sup, y.sup)
-    dn = delta(x.group, n)
-    phi_x = multiply(inverse(x), dn)
-    phi_y = multiply(inverse(y), dn)
-    return multiply(dn, inverse(right_gcd(phi_x, phi_y)))
+    """Least common right-multiple of positive x, y: x·u for x⁻¹·y = u·v⁻¹."""
+    t, x, y = _positive_raws(x, y, "left_lcm")
+    _, u = t.raw_pn(t.raw_multiply(t.raw_inverse(x), y))
+    return _wrap(t, t.raw_multiply(x, u))
+
+
+def right_gcd(x, y):
+    """Greatest common right-divisor of positive x, y: u⁻¹·x for x·y⁻¹ = u·v⁻¹."""
+    t, x, y = _positive_raws(x, y, "right_gcd")
+    _, u = t.raw_pn(t.raw_multiply(x, t.raw_inverse(y)))
+    return _wrap(t, t.raw_multiply(t.raw_inverse(u), x))
 
 
 def right_lcm(x, y):
-    return rev(left_lcm(rev(x), rev(y)))
+    """Least common left-multiple of positive x, y: a·x for x·y⁻¹ = a⁻¹·b."""
+    t, x, y = _positive_raws(x, y, "right_lcm")
+    a, _ = t.raw_np(t.raw_multiply(x, t.raw_inverse(y)))
+    return _wrap(t, t.raw_multiply(a, x))
 
 
 def np_form(g, side="np"):
     """Coprime factorization g = neg⁻¹·pos (np) or pos·neg⁻¹ (pn)."""
     t = table(g.group)
-    shift = max(0, -g.inf)
-    dn = delta(g.group, shift)
     if side == "np":
-        b0 = multiply(dn, g)
-        c = left_gcd(dn, b0)
-        ci = inverse(c)
-        return NpForm(neg=multiply(ci, dn), pos=multiply(ci, b0), side="np")
-    if side == "pn":
-        b0 = multiply(g, dn)
-        c = right_gcd(dn, b0)
-        ci = inverse(c)
-        return NpForm(neg=multiply(dn, ci), pos=multiply(b0, ci), side="pn")
-    raise ValueError("side must be 'np' or 'pn'")
+        neg, pos = t.raw_np(_raw(t, g))
+    elif side == "pn":
+        neg, pos = t.raw_pn(_raw(t, g))
+    else:
+        raise ValueError("side must be 'np' or 'pn'")
+    return NpForm(neg=_wrap(t, neg), pos=_wrap(t, pos), side=side)
 
 
 def np_reconstruct(form):
@@ -535,11 +527,11 @@ def np_reconstruct(form):
 def support(g):
     """Generators occurring in either np-half (= letters of any expression)."""
     t = table(g.group)
-    form = np_form(g)
-    mask = t.support_mask(_raw(t, form.neg)) | t.support_mask(_raw(t, form.pos))
-    return frozenset(
-        s for i, s in enumerate(g.group.vertices) if mask >> i & 1
-    )
+    neg, pos = t.raw_np(_raw(t, g))
+    mask = t.supp[t.w0i] if neg[0] or pos[0] else 0
+    for f in neg[1] + pos[1]:
+        mask |= t.supp[f]
+    return frozenset(s for i, s in enumerate(g.group.vertices) if mask >> i & 1)
 
 
 def in_parabolic(g, X):
@@ -553,23 +545,20 @@ def in_parabolic(g, X):
 
 def letters_of(g):
     """A signed-letter expression of g from its np-form (not length-minimal)."""
-    form = np_form(g)
-    out = [
-        (s, -1)
-        for s in reversed(_positive_letters(form.neg))
-    ]
-    out.extend((s, 1) for s in _positive_letters(form.pos))
+    t = table(g.group)
+    neg, pos = t.raw_np(_raw(t, g))
+    out = [(s, -1) for s in reversed(_positive_letters(t, neg))]
+    out.extend((s, 1) for s in _positive_letters(t, pos))
     return out
 
 
-def _positive_letters(p):
-    if not p.is_positive():
+def _positive_letters(t, raw):
+    d, fs = raw
+    if d < 0:
         raise InvariantViolated("np-form half is not positive")
-    letters = []
-    for _ in range(p.delta_power):
-        letters.extend(cx.engine(p.group).longest_parabolic(p.group.vertices))
-    for f in p.factors:
-        letters.extend(f.underlying.word)
+    letters = list(t.words[t.w0i]) * d
+    for f in fs:
+        letters.extend(t.words[f])
     return letters
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from artinkit import cli, complexes
+from artinkit import coxeter as cx
 from artinkit import dynkin as dy
 from artinkit import garside as ga
 from artinkit.errors import (
@@ -22,6 +23,11 @@ A2 = dy.diagram("ab", [("a", "b", 3)])
 A3 = dy.path_diagram("abc", [3, 3])
 B3 = dy.path_diagram("abc", [4, 3])
 I24 = dy.diagram("ab", [("a", "b", 4)])
+H3 = dy.path_diagram("abc", [5, 3])
+F4 = dy.path_diagram("abcd", [3, 4, 3])
+H4 = dy.path_diagram("abcd", [5, 3, 3])
+E6 = dy.diagram("abcdef", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3),
+                           ("d", "e", 3), ("c", "f", 3)])
 
 
 def fl(d, letters):
@@ -194,15 +200,17 @@ def test_lattice_laws_exhaustive_small():
 
 def test_right_gcd_mirror():
     rng = random.Random(31)
-    for _ in range(60):
-        x = fl(A3, "".join(rng.choice("abc") for _ in range(rng.randint(0, 5))))
-        y = fl(A3, "".join(rng.choice("abc") for _ in range(rng.randint(0, 5))))
-        g = ga.right_gcd(x, y)
-        assert ga.multiply(x, ga.inverse(g)).is_positive()
-        assert ga.multiply(y, ga.inverse(g)).is_positive()
-        j = ga.right_lcm(x, y)
-        assert ga.multiply(j, ga.inverse(x)).is_positive()
-        assert ga.multiply(j, ga.inverse(y)).is_positive()
+    for d in (A3, H3, F4, H4):
+        gens = d.vertices
+        for _ in range(60):
+            x = fl(d, "".join(rng.choice(gens) for _ in range(rng.randint(0, 5))))
+            y = fl(d, "".join(rng.choice(gens) for _ in range(rng.randint(0, 5))))
+            g = ga.right_gcd(x, y)
+            assert ga.multiply(x, ga.inverse(g)).is_positive()
+            assert ga.multiply(y, ga.inverse(g)).is_positive()
+            j = ga.right_lcm(x, y)
+            assert ga.multiply(j, ga.inverse(x)).is_positive()
+            assert ga.multiply(j, ga.inverse(y)).is_positive()
 
 
 # np forms -------------------------------------------------------------------
@@ -222,16 +230,33 @@ def test_np_form_frozen():
 
 def test_np_form_roundtrip_random():
     rng = random.Random(77)
+    for d in (A3, H3, F4, H4):
+        gens = d.vertices
+        for _ in range(200):
+            g = fl(d, [(rng.choice(gens), rng.choice([1, -1]))
+                       for _ in range(rng.randint(0, 8))])
+            for side in ("np", "pn"):
+                f = ga.np_form(g, side)
+                assert f.neg.is_positive() and f.pos.is_positive()
+                assert ga.np_reconstruct(f) == g
+                if side == "np":
+                    assert ga.left_gcd(f.neg, f.pos).is_identity()
+                else:
+                    assert ga.right_gcd(f.neg, f.pos).is_identity()
+
+
+@pytest.mark.parametrize("d", [B3, H3, F4, H4, E6], ids=["B3", "H3", "F4", "H4", "E6"])
+def test_closed_form_inverse(d):
+    # Δ^d·f1⋯fl inverted from the complements alone, checked against the
+    # product of g and its inverse on both sides
+    t = ga.table(d)
+    rng = random.Random(41)
     for _ in range(200):
-        g = fl(A3, [(rng.choice("abc"), rng.choice([1, -1])) for _ in range(rng.randint(0, 8))])
-        for side in ("np", "pn"):
-            f = ga.np_form(g, side)
-            assert f.neg.is_positive() and f.pos.is_positive()
-            assert ga.np_reconstruct(f) == g
-            if side == "np":
-                assert ga.left_gcd(f.neg, f.pos).is_identity()
-            else:
-                assert ga.right_gcd(f.neg, f.pos).is_identity()
+        g = fl(d, [(rng.choice(d.vertices), rng.choice([1, -1]))
+                   for _ in range(rng.randint(0, 12))])
+        raw = ga._raw(t, g)
+        inv = t.raw_inverse(raw)
+        assert t.raw_multiply(raw, inv) == t.raw_multiply(inv, raw) == (0, ())
 
 
 def test_in_parabolic():
@@ -369,6 +394,21 @@ def test_table_cap():
         ga.table(e7)
     with pytest.raises(NotSpherical):
         ga.table(dy.cycle_diagram("abc", [3, 3, 3]))
+
+
+def test_table_and_engine_caches_are_bounded():
+    # one diagram more than the bound: the least recently used is dropped,
+    # and its rebuilt table has the same ShortLex indices
+    bound = cx.CACHED_DIAGRAMS
+    fresh = [dy.diagram([f"u{i}", f"v{i}"], [(f"u{i}", f"v{i}", 3)])
+             for i in range(bound + 1)]
+    first = ga.table(fresh[0])
+    for d in fresh[1:]:
+        ga.table(d)
+    assert ga.table.cache_info().currsize == bound
+    assert cx.engine.cache_info().currsize == bound
+    again = ga.table(fresh[0])
+    assert again is not first and again.words == first.words
 
 
 def test_table_matches_word_multiplication():
@@ -514,9 +554,9 @@ from artinkit import complexes, coxeter
 coxeter.Enumeration.coset_minima = lambda en, T: list(range(len(en.words)))
 complexes.build_coxeter_complex(d)
 """,
-    # np_form hands back a negative half
+    # the np-form primitive hands back a negative half
     "np-form half is not positive": """
-ga.np_form = lambda g, side="np": ga.NpForm(ga.delta(d, -1), g, side)
+ga.GarsideTable.raw_np = lambda t, a: ((-1, ()), a)
 ga.letters_of(ga.generator(d, "a"))
 """,
     # Δ_{a,b} replaced by ab, which conjugates a to no generator
@@ -535,6 +575,53 @@ inverse = ga.inverse
 ga.inverse = lambda x: ga.delta(d, -1) if x.is_identity() else inverse(x)
 ga.in_parabolic = lambda g, X: True
 ga.ribbon_decompose(ga.generator(d, "a"), {"a"})
+""",
+    # canonical forms collapse to the identity once x is built
+    "gate and tail lengths must add up to the length of x": """
+from artinkit import coxeter
+x = coxeter.normal_form(d, "ab")
+coxeter.engine(d).canonical = lambda word: ()
+coxeter.gate_projection(x, {"b"})
+""",
+    # each coset lists its base point twice
+    "nearest point must be unique": """
+from artinkit import coxeter
+coxeter.coset_elements = lambda g, T, side="right": [g, g]
+e = coxeter.normal_form(d, "")
+coxeter.pair_gate(d, {"a"}, e, {"b"}, e)
+""",
+    "gate set must be a translated standard parabolic coset": """
+from artinkit import coxeter
+coxeter._is_translated_parabolic = lambda eng, elems: False
+e = coxeter.normal_form(d, "")
+coxeter.pair_gate(d, {"a"}, e, {"b"}, e)
+""",
+    "comparison image must lie in the plain ball at equal bound": """
+from artinkit import complexes
+a3 = dynkin.path_diagram("abc", [3, 3])
+q = dynkin.quotient_folding(a3, [("a", "c")])
+folded = complexes.build_folded_ball(q, list(q.target.vertices), 2)
+plain = complexes.build_ball(a3, ["a", "b", "c"], 2)
+complexes.ComplexBall.locate = lambda ball, g, s: None
+complexes.folded_comparison(folded, q, plain)
+""",
+    # every coset located at vertex 0: the fiber of a+c is no edge
+    "comparison image must be a simplex": """
+from artinkit import complexes
+a3 = dynkin.path_diagram("abc", [3, 3])
+q = dynkin.quotient_folding(a3, [("a", "c")])
+folded = complexes.build_folded_ball(q, list(q.target.vertices), 2)
+plain = complexes.build_ball(a3, ["a", "b", "c"], 2)
+complexes.ComplexBall.locate = lambda ball, g, s: 0
+complexes.folded_comparison(folded, q, plain)
+""",
+    # the order validator hands back the orientation reversed, so the
+    # bowtie middles are found against the opposite type ranks
+    "bowtie middle type must lie strictly between the end types": """
+from artinkit import checks, complexes
+checks._check_orientation = lambda ball, orientation: tuple(reversed(orientation))
+b = complexes.build_ball(dynkin.path_diagram("abc", [3, 3]), ["a", "b", "c"], 4)
+checks.wheel_fillers_from_bowties(b, ("a", "b", "c"), checks.check_bowtie_free(b, ("a", "b", "c")))
 """,
     "link of x does not carry the rest of the cycle": """
 from artinkit import theorem_gate as tg
