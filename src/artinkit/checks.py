@@ -249,6 +249,9 @@ class LinearOrderResult:
 
 
 def _check_orientation(ball, orientation):
+    if orientation is None:
+        raise NotAdmissible(
+            "orientation required: the type diagram is not a path")
     orientation = tuple(orientation)
     if len(set(orientation)) != len(orientation) or not orientation:
         raise NotAdmissible("orientation must list distinct types")

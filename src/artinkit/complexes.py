@@ -459,8 +459,8 @@ def apartment_cycle(d, types=None, base=None):
     """Image of the Coxeter complex under the canonical section, translated.
 
     Each coset w·W_{S∖{s}} lifts to (base·lift(w*))·A_{S∖{s}} where w* is the
-    minimal coset representative and lift spells its canonical word in the
-    Artin group. The embedding is checked to be injective.
+    minimal coset representative and lift(w*) is its positive lift, a single
+    simple factor (Δ when w* = w0). The embedding is checked to be injective.
     """
     from . import coxeter as cx
 
@@ -471,6 +471,7 @@ def apartment_cycle(d, types=None, base=None):
     types = [s for s in d.vertices if s in set(types)]
     if base is None:
         base = ga.identity(d)
+    t = ga.table(d)
     en = cx.engine(d).enumerate(ga.MAX_TABLE)
     gens = d.vertices
     reps = {s: en.coset_minima(set(gens) - {s}) for s in types}
@@ -485,9 +486,8 @@ def apartment_cycle(d, types=None, base=None):
             if vid is None:
                 vid = len(verts)
                 vid_of[key] = vid
-                rep = en.words[reps[s][x]]
-                witness = ga.multiply(
-                    base, ga.from_letters(d, [(g, 1) for g in rep]))
+                lift = ga._wrap(t, t.normalize(0, (reps[s][x],)))
+                witness = ga.multiply(base, lift)
                 verts.append((s, witness))
             row.append(vid)
         rows.append(row)

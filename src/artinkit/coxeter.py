@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .dynkin import DynkinDiagram, INFINITY, is_spherical
 from .errors import CapExceeded, InvariantViolated, NotSpherical, UnknownGenerator
@@ -467,61 +466,37 @@ def pair_gate(d, T1, g1, T2, g2):
 
     Returns (X, Y, pairs): X ⊆ g1*W_T1 and Y ⊆ g2*W_T2 realize the minimal
     word-metric distance between the cosets, pairs is the graph of the
-    nearest-point bijection X -> Y. Verifies that the nearest-point maps are
-    single-valued inverse bijections and that X and Y are translated cosets
-    of standard parabolic subgroups.
+    nearest-point bijection X -> Y. X and Y are sorted as `coset_elements`
+    sorts, and pairs follows X.
+
+    The projection between two residues is a residue (Abramenko & Brown,
+    Buildings, §5.3), read off the double coset W_T1·u·W_T2 of u = g1⁻¹·g2.
+    Its shortest element w has no left descent in T1 and no right descent
+    in T2; with u = a·w·b, a ∈ W_T1 and b ∈ W_T2, the distance is ℓ(w) and
+    X = g1·a·W_K with K = {s ∈ T1 : w⁻¹·s·w ∈ T2}, since Kilmoyer's theorem
+    gives W_T1 ∩ w·W_T2·w⁻¹ = W_{T1 ∩ wT2w⁻¹} (Geck & Pfeiffer, Characters
+    of Finite Coxeter Groups and Iwahori–Hecke Algebras, §2.1). Each x ∈ X
+    is matched with x·w. Y = g1·a·w·W_K', with K' = w⁻¹·K·w, is built
+    separately and checked against those images and against g2·W_T2.
     """
     if not is_spherical(d):
         raise NotSpherical("pair_gate requires a spherical diagram")
     eng = engine(d)
-    C1 = coset_elements(g1, T1)
-    C2 = coset_elements(g2, T2)
-
-    def dist(x, y):
-        return len(eng.mult(eng.inv(x.word), y.word))
-
-    best = min(dist(x, y) for x in C1 for y in C2)
-    X = [x for x in C1 if min(dist(x, y) for y in C2) == best]
-    Y = [y for y in C2 if min(dist(x, y) for x in C1) == best]
-    pairs = []
-    back = {}
-    for x in X:
-        nearest = [y for y in C2 if dist(x, y) == best]
-        if len(nearest) != 1:
-            raise InvariantViolated("nearest point must be unique")
-        if nearest[0] not in Y:
-            raise InvariantViolated("nearest point must lie in the gate set")
-        pairs.append((x, nearest[0]))
-    for y in Y:
-        nearest = [x for x in C1 if dist(x, y) == best]
-        if len(nearest) != 1:
-            raise InvariantViolated("nearest point must be unique")
-        back[y] = nearest[0]
-    if any(back[y] != x for x, y in pairs):
-        raise InvariantViolated("nearest-point maps must be inverse bijections")
-    if not all(_is_translated_parabolic(eng, part) for part in (X, Y)):
+    T1, T2 = frozenset(T1), frozenset(T2)
+    # one strip per side: a left descent of the T2-gate of v is a left
+    # descent of v itself, since v is that gate times a reduced tail
+    left = gate_projection(multiply(inverse(g1), g2), T1, "left")
+    w = gate_projection(left.gate, T2, "right").gate
+    inv_w = tuple(reversed(w.word))
+    conj = {s: eng.canonical(inv_w + (s,) + w.word) for s in T1}
+    K = {s for s, c in conj.items() if len(c) == 1 and c[0] in T2}
+    x0 = multiply(g1, left.tail)
+    y0 = multiply(x0, w)
+    X = coset_elements(x0, K)
+    Y = coset_elements(y0, {conj[s][0] for s in K})
+    pairs = [(x, multiply(x, w)) for x in X]
+    if ({y for _, y in pairs} != set(Y)
+            or not set(eng.mult(eng.inv(g2.word), y0.word)) <= T2):
         raise InvariantViolated(
-            "gate set must be a translated standard parabolic coset")
+            "gate images must form the parallel coset inside g2·W_T2")
     return X, Y, pairs
-
-
-def _is_translated_parabolic(eng, elems):
-    words = {x.word for x in elems}
-    base = min(words, key=lambda w: (len(w), eng.key(w)))
-    gens = list(eng.d.vertices)
-    for r in range(len(gens) + 1):
-        for T in combinations(gens, r):
-            coset = {base}
-            frontier = [base]
-            while frontier and len(coset) <= len(words):
-                nxt = []
-                for w in frontier:
-                    for s in T:
-                        u = eng.rmult(w, s)
-                        if u not in coset:
-                            coset.add(u)
-                            nxt.append(u)
-                frontier = nxt
-            if coset == words:
-                return True
-    return False

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from . import coxeter as cx
 from .dynkin import DynkinDiagram, is_spherical
@@ -689,12 +688,11 @@ def _ribbon_reconstruct(t, g, X, raw, Ytop, path):
 
 
 def _recognize_center(d, w):
-    for r in range(len(d.vertices) + 1):
-        for Y in combinations(d.vertices, r):
-            if not is_spherical(d.induced(Y)):
-                continue
-            if center_of(d, Y) == w:
-                return frozenset(Y)
+    """The Y with w = c_Y, or None. c_Y is a positive power of Δ_Y, whose
+    support is exactly Y, so the support of w is the only candidate."""
+    Y = support(w)
+    if is_spherical(d.induced(Y)) and center_of(d, Y) == w:
+        return Y
     return None
 
 

@@ -162,6 +162,27 @@ class CoxModel:
         return mins[0], frozenset(coset)
 
 
+def nearest_points(model, g1, T1, g2, T2):
+    """Nearest points between the cosets g1 * W_T1 and g2 * W_T2, by brute force.
+
+    Returns (best, X, Y, nearest): the minimal distance, the points of each
+    coset at that distance from the other, and for each x in X the set of
+    points of the second coset at distance best from x.
+    """
+    _, c1 = model.coset_min(g1, T1)
+    _, c2 = model.coset_min(g2, T2)
+    dist = {}
+    for u in c1:
+        ui = model.inv(u)
+        for v in c2:
+            dist[u, v] = model.length[model.mul(ui, v)]
+    best = min(dist.values())
+    X = frozenset(u for u in c1 if any(dist[u, v] == best for v in c2))
+    Y = frozenset(v for v in c2 if any(dist[u, v] == best for u in c1))
+    nearest = {u: frozenset(v for v in c2 if dist[u, v] == best) for u in X}
+    return best, X, Y, nearest
+
+
 # -- concrete models ---------------------------------------------------------
 
 

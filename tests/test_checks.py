@@ -167,6 +167,18 @@ def test_linear_order_rejects_bad_orientations():
         ck.linear_order(b4, ["a", "b"])  # two leaves of the star
 
 
+def test_non_path_type_diagram_has_no_orientation():
+    # D4 has no path order, so the checks that need one get None
+    d4 = dynkin.DynkinDiagram(
+        ("a", "b", "c", "d"), (("a", "c", 3), ("b", "c", 3), ("c", "d", 3)))
+    b = ball(d4, list(d4.vertices), 2, max_chambers=10_000)
+    assert d4.path_order() is None
+    with pytest.raises(NotAdmissible):
+        ck.linear_order(b, d4.path_order())
+    with pytest.raises(NotAdmissible):
+        ck.check_bowtie_free(b, d4.path_order())
+
+
 def test_bowtie_a3_frozen():
     b = ball(A3, ["a", "b", "c"], 4)
     v = ck.check_bowtie_free(b, ["a", "b", "c"])

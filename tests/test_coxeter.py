@@ -230,6 +230,36 @@ def test_pair_gate_projection_composition_is_identity():
             assert back[y] == x
 
 
+@pytest.mark.parametrize("name", ["H3", "D4"])
+def test_pair_gate_against_brute_force_nearest_points(name):
+    d, make = {
+        "H3": (dy.path_diagram("abc", [5, 3]), lambda: oracles.model_H3("abc")),
+        "D4": (D4, lambda: oracles.model_D(4, "abcd")),
+    }[name]
+    model = make()
+    gens = list(d.vertices)
+    rng = random.Random(11)
+    for _ in range(40):
+        g1 = nf(d, [rng.choice(gens) for _ in range(rng.randint(0, 12))])
+        g2 = nf(d, [rng.choice(gens) for _ in range(rng.randint(0, 12))])
+        # proper subsets, the empty one included: a full coset is the whole
+        # group, which the H3 model materializes in seconds
+        T1, T2 = (set(rng.sample(gens, rng.randint(0, len(gens) - 1)))
+                  for _ in range(2))
+        X, Y, pairs = cx.pair_gate(d, T1, g1, T2, g2)
+        best, bx, by, nearest = oracles.nearest_points(
+            model, model.prod(g1.word), T1, model.prod(g2.word), T2)
+        for part, brute in ((X, bx), (Y, by)):
+            assert len(part) == len(brute)
+            assert {model.prod(u.word) for u in part} == brute
+            keys = [tuple(gens.index(s) for s in u.word) for u in part]
+            assert keys == sorted(keys)
+        assert [x for x, _ in pairs] == X
+        for x, y in pairs:
+            assert nearest[model.prod(x.word)] == {model.prod(y.word)}
+            assert cx.multiply(cx.inverse(x), y).length == best
+
+
 # -- geometric engine ----------------------------------------------------------
 
 CORPUS = Path(__file__).parent / "corpus"

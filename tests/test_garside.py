@@ -583,18 +583,13 @@ x = coxeter.normal_form(d, "ab")
 coxeter.engine(d).canonical = lambda word: ()
 coxeter.gate_projection(x, {"b"})
 """,
-    # each coset lists its base point twice
-    "nearest point must be unique": """
+    # inverses come back unchanged, so pair_gate reads the double coset of
+    # g1·g2 in place of g1⁻¹·g2 and its images leave g2·W_T2
+    "gate images must form the parallel coset inside g2·W_T2": """
 from artinkit import coxeter
-coxeter.coset_elements = lambda g, T, side="right": [g, g]
-e = coxeter.normal_form(d, "")
-coxeter.pair_gate(d, {"a"}, e, {"b"}, e)
-""",
-    "gate set must be a translated standard parabolic coset": """
-from artinkit import coxeter
-coxeter._is_translated_parabolic = lambda eng, elems: False
-e = coxeter.normal_form(d, "")
-coxeter.pair_gate(d, {"a"}, e, {"b"}, e)
+coxeter.inverse = lambda x: x
+g1, e = coxeter.normal_form(d, "ab"), coxeter.normal_form(d, "")
+coxeter.pair_gate(d, {"a"}, g1, {"c"}, e)
 """,
     "comparison image must lie in the plain ball at equal bound": """
 from artinkit import complexes
