@@ -5,9 +5,13 @@ parabolic generator set (the complement of {s} for plain complexes, the
 complement of a folding fiber for folded ones). Chambers are group elements
 enumerated in deterministic layers by canonical size; two chambers land on
 the same vertex exactly when their cosets agree, decided by an exact
-canonical key. No finite ball is complete, so every downstream verdict
-about a ball is one-sided: inner-marked vertices are the ones whose local
-structure the enumeration is known to cover.
+canonical key. Only some chambers pay for a key: those with no factors,
+and, per type, those whose last factor w has no right descent in X(s).
+Any other chamber reads its vertex off the chamber with w replaced by the
+minimal representative of w·W_X: its parent or an earlier sibling. No
+finite ball is complete, so every downstream verdict about a ball is
+one-sided: inner-marked vertices are the ones whose local structure the
+enumeration is known to cover.
 """
 
 from __future__ import annotations
@@ -63,11 +67,11 @@ class ComplexBall:
         self._edge_witness = dict(edge_witness)  # edge -> raw chamber
         self._keys = dict(keys)  # (type, coset key) -> vertex id
         self._shift = shift
-        adj = {v.id: set() for v in self.vertices}
+        adj = {v.id: [] for v in self.vertices}  # lists: far smaller than sets
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+            adj[i].append(j)
+            adj[j].append(i)
+        self._adj = {v: tuple(sorted(set(nbrs))) for v, nbrs in adj.items()}
 
     def vertex(self, vid):
         return self.vertices[vid]
@@ -129,8 +133,8 @@ class ComplexBall:
         def block(items):
             return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
-        def enc(text):
-            return json.dumps(text, ensure_ascii=False)
+        # one encoder for every string: json.dumps would build one per call
+        enc = json.JSONEncoder(ensure_ascii=False).encode
 
         vertices = [
             f'    {{\n      "id": {v.id},\n      "type": {enc(v.type)},\n'
@@ -254,6 +258,52 @@ def _chambers(t, eff):
                 yield (d, seq)
 
 
+def _walk(t, eff):
+    """The `_chambers` stream grouped by parent: (raw, ordinal of its parent).
+
+    The parent of (d, f1⋯fk) is (d, f1⋯fk−1), one layer earlier; a chamber
+    with no factors has parent −1. Children of each parent come in index
+    order, so walking the previous layer in order gives the lexicographic
+    order of `_sequences`.
+    """
+    follows, proper = t.follows, t.proper
+    # d -> (ordinal of the first, factors of each) over the previous layer's
+    # chambers, which the stream numbers consecutively
+    prev = {}
+    n = 0
+    for r in range(eff + 1):
+        layer = {}
+        for d in range(-r, r + 1):
+            here = []
+            layer[d] = (n, here)
+            if r == abs(d):
+                here.append(())
+                yield (d, ()), -1
+                n += 1
+                continue
+            first, seqs = prev[d]
+            for p, seq in enumerate(seqs, first):
+                for w in follows[seq[-1]] if seq else proper:
+                    fs = seq + (w,)
+                    here.append(fs)
+                    yield (d, fs), p
+                    n += 1
+        prev = layer
+
+
+def _coset_minima(t, X):
+    """rep[w] = w^X, the minimal element of w·W_X: `Enumeration.coset_minima`
+    read off the table. A right descent s in X gives w·s, shorter and in the
+    same coset, at an earlier index."""
+    mask = sum(1 << t.rank[s] for s in X)
+    rdesc, rmul = t.rdesc, t.rmul
+    rep = []
+    for w in range(t.n):
+        both = rdesc[w] & mask
+        rep.append(rep[rmul[w][(both & -both).bit_length() - 1]] if both else w)
+    return rep
+
+
 # -- parallel key computation --------------------------------------------------
 
 
@@ -261,14 +311,15 @@ def _key_batch(args):
     # forked workers find the table in the module state they inherited
     d, chunk, parabolics, shift = args
     key = ga.table(d).coset_key
-    return [tuple([key(raw, X, shift) for X in parabolics]) for raw in chunk]
+    return [key(raw, parabolics[ti], shift) for raw, ti in chunk]
 
 
-def _compute_keys(d, chambers, parabolics, shift, jobs):
-    if jobs <= 1 or len(chambers) < 64:
-        return _key_batch((d, chambers, parabolics, shift))
-    step = (len(chambers) + jobs - 1) // jobs
-    chunks = [chambers[i:i + step] for i in range(0, len(chambers), step)]
+def _compute_keys(d, needed, parabolics, shift, jobs):
+    """Coset keys of the (raw chamber, type index) pairs, in order."""
+    if jobs <= 1 or len(needed) < 64:
+        return _key_batch((d, needed, parabolics, shift))
+    step = (len(needed) + jobs - 1) // jobs
+    chunks = [needed[i:i + step] for i in range(0, len(needed), step)]
     ctx = get_context("fork")
     with ctx.Pool(processes=jobs) as pool:
         parts = pool.map(
@@ -322,6 +373,58 @@ def build_folded_ball(folding, types, bound, *, margin=None,
                      jobs, folding.target)
 
 
+def _vertex_rows(d, t, eff, parabolics, shift, jobs):
+    """(chambers, rows, by_key, witness_of): rows[c][i] is the vertex of
+    chamber c for parabolics[i], by_key[i] maps coset keys to vertices and
+    witness_of[v] = (i, first chamber on v).
+
+    The X-vertex of (d, f1⋯fk) is that of (d, f1⋯fk−1·w^X) for w = fk, since
+    w = w^X·w_X with w_X in A_X⁺: the parent when w^X = 1, otherwise an
+    earlier sibling, normal as L(w^X) ⊆ L(w). So every vertex is first met
+    at a chamber that computed its key.
+    """
+    minima = [_coset_minima(t, X) for X in parabolics]
+    chambers = []
+    rows = []  # per type: the ordinal to copy from or −1, then the vertex
+    needed = []  # (raw, type) pairs that need a key, in stream order
+    kids = {}  # last factor -> ordinal among the current parent's children
+    for c, (raw, parent) in enumerate(_walk(t, eff)):
+        chambers.append(raw)
+        if parent < 0:
+            row = [-1] * len(parabolics)
+            needed.extend((raw, i) for i in range(len(parabolics)))
+        else:
+            if kids.get(0) != parent:
+                kids = {0: parent}
+            w = raw[1][-1]
+            kids[w] = c
+            row = []
+            for i, rep in enumerate(minima):
+                m = rep[w]
+                if m == w:
+                    needed.append((raw, i))
+                    row.append(-1)
+                else:
+                    row.append(kids[m])
+        rows.append(row)
+    keys = iter(_compute_keys(d, needed, parabolics, shift, jobs))
+
+    by_key = [{} for _ in parabolics]
+    witness_of = []
+    for raw, row in zip(chambers, rows):
+        for i, src in enumerate(row):
+            if src >= 0:
+                row[i] = rows[src][i]
+                continue
+            key = next(keys)
+            vid = by_key[i].get(key)
+            if vid is None:
+                vid = by_key[i][key] = len(witness_of)
+                witness_of.append((i, raw))
+            row[i] = vid
+    return chambers, rows, by_key, witness_of
+
+
 def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
               type_diagram):
     t = ga.table(d)
@@ -329,29 +432,14 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
     if margin is None:
         margin = 2  # twice the canonical size of the full twist
     shift = (eff + 1) // 2
-    chambers = list(_chambers(t, eff))
     parabolics = [type_parabolic[s] for s in types]
-    keys = _compute_keys(d, chambers, parabolics, shift, jobs)
-
-    by_key = [{} for _ in types]  # per type: coset key -> vertex
-    witness_of = []
-    chamber_vids = []
-    for raw, key_row in zip(chambers, keys):
-        row = []
-        for ti, key in enumerate(key_row):
-            vid = by_key[ti].get(key)
-            if vid is None:
-                vid = by_key[ti][key] = len(witness_of)
-                witness_of.append((types[ti], raw))
-            row.append(vid)
-        chamber_vids.append(row)
+    chambers, chamber_vids, by_key, witness_of = _vertex_rows(
+        d, t, eff, parabolics, shift, jobs)
 
     # deterministic ids: sort by (type position, witness size, witness text)
-    tpos = {s: i for i, s in enumerate(types)}
-
     def sort_key(v):
-        s, raw = witness_of[v]
-        return (tpos[s], abs(raw[0]) + len(raw[1]), ga.serialize_raw(t, raw))
+        i, raw = witness_of[v]
+        return (i, abs(raw[0]) + len(raw[1]), ga.serialize_raw(t, raw))
 
     order = sorted(range(len(witness_of)), key=sort_key)
     newid = [0] * len(order)
@@ -359,9 +447,9 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
         newid[old] = new
     vertices = []
     for old in order:
-        s, raw = witness_of[old]
+        i, raw = witness_of[old]
         vertices.append(BallVertex(
-            id=newid[old], type=s, witness=ga._wrap(t, raw)))
+            id=newid[old], type=types[i], witness=ga._wrap(t, raw)))
 
     # each edge keeps the raw form of the first chamber on both its ends
     edges = {}
@@ -370,6 +458,9 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
             if e not in edges:
                 edges[e] = raw
     edge_list = sorted(edges)
+    # free the chamber stream before the ball builds its adjacency
+    chamber_count = len(chambers)
+    del chambers, chamber_vids
 
     inner = frozenset(
         v.id for v in vertices if v.witness.size <= eff - margin
@@ -380,7 +471,7 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
     }
     return ComplexBall(
         ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
-        effective_bound=eff, margin=margin, chamber_count=len(chambers),
+        effective_bound=eff, margin=margin, chamber_count=chamber_count,
         vertices=vertices, edges=edge_list, inner=inner,
         edge_witness=edges, keys=remapped_keys, shift=shift,
         type_diagram=type_diagram,

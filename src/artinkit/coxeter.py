@@ -225,9 +225,6 @@ class _Engine:
     def is_right_descent(self, word, s):
         return len(self.rmult(word, s)) < len(word)
 
-    def is_left_descent(self, s, word):
-        return len(self.lmult(s, word)) < len(word)
-
     def right_descents(self, word):
         return frozenset(
             s for s in self.d.vertices if self.is_right_descent(word, s)
@@ -408,6 +405,13 @@ def gate_projection(x, T, side="right"):
     Returns gate, tail with x = gate*tail (right) or x = tail*gate (left) and
     length(x) = length(gate) + length(tail); tail lies in W_T.
     """
+    if side == "left":
+        # W_T*x is the inverse of x⁻¹*W_T: invert its gate and tail
+        right = gate_projection(inverse(x), T, "right")
+        return GateResult(inverse(right.gate), inverse(right.tail),
+                          right.distance)
+    if side != "right":
+        raise ValueError("side must be 'right' or 'left'")
     eng = engine(x.group)
     T = frozenset(T)
     for s in T:
@@ -415,33 +419,19 @@ def gate_projection(x, T, side="right"):
             raise UnknownGenerator(f"{s!r} is not a generator")
     w = x.word
     stripped = []
-    if side == "right":
-        while True:
-            for s in sorted(T, key=lambda t: eng.rank[t]):
-                if eng.is_right_descent(w, s):
-                    w = eng.rmult(w, s)
-                    stripped.append(s)
-                    break
-            else:
+    while True:
+        for s in sorted(T, key=lambda t: eng.rank[t]):
+            if eng.is_right_descent(w, s):
+                w = eng.rmult(w, s)
+                stripped.append(s)
                 break
-        tail = eng.canonical(tuple(reversed(stripped)))
-    elif side == "left":
-        while True:
-            for s in sorted(T, key=lambda t: eng.rank[t]):
-                if eng.is_left_descent(s, w):
-                    w = eng.lmult(s, w)
-                    stripped.append(s)
-                    break
-            else:
-                break
-        tail = eng.canonical(tuple(stripped))
-    else:
-        raise ValueError("side must be 'right' or 'left'")
+        else:
+            break
     gate = CoxeterElement(x.group, w)
-    tail_el = CoxeterElement(x.group, tail)
-    if gate.length + tail_el.length != x.length:
+    tail = CoxeterElement(x.group, eng.canonical(tuple(reversed(stripped))))
+    if gate.length + tail.length != x.length:
         raise InvariantViolated("gate and tail lengths must add up to the length of x")
-    return GateResult(gate, tail_el, tail_el.length)
+    return GateResult(gate, tail, tail.length)
 
 
 def coset_elements(g, T, side="right"):

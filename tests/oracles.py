@@ -76,12 +76,12 @@ class CoxModel:
         top = [x for x in self.elements if self.length[x] == self.max_length]
         assert len(top) == 1, "longest element must be unique"
         self.w0 = top[0]
+        # generators are involutions, so the reversed word spells x⁻¹
         self._inv = {}
         for x in self.elements:
-            for y in self.elements:
-                if mul(x, y) == e:
-                    self._inv[x] = y
-                    break
+            y = self.prod(reversed(self.word[x]))
+            assert mul(x, y) == e, "reversed word must spell the inverse"
+            self._inv[x] = y
         self._ldiv = {}
         self._rdiv = {}
 

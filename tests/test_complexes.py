@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from artinkit import complexes as cpx
+from artinkit import coxeter as cx
 from artinkit import dynkin
 from artinkit import garside as ga
 from artinkit.errors import (
@@ -27,6 +28,10 @@ A3 = path("abc", [3, 3])
 B3 = path("abc", [4, 3])
 H3 = path("abc", [5, 3])
 I24 = path("ab", [4])
+I25 = path("ab", [5])
+F4 = path("abcd", [3, 4, 3])
+D4 = dynkin.DynkinDiagram(
+    ("a", "b", "c", "d"), (("a", "c", 3), ("b", "c", 3), ("c", "d", 3)))
 
 
 def adjacency(ball):
@@ -179,6 +184,81 @@ def test_rebuild_and_jobs_are_byte_identical():
     again = cpx.build_ball(A2, ["a", "b"], 4).to_json_str()
     parallel = cpx.build_ball(A2, ["a", "b"], 4, jobs=2).to_json_str()
     assert one == again == parallel
+
+
+# -- chambers that read their vertices off the parent or a sibling ------------
+
+
+def test_walk_is_the_chamber_stream_grouped_by_parent():
+    b3_reversed = path("cba", [3, 4])
+    for d, eff in ((A3, 4), (B3, 4), (b3_reversed, 4), (D4, 2), (I25, 5)):
+        t = ga.table(d)
+        walk = list(cpx._walk(t, eff))
+        assert [raw for raw, _ in walk] == list(cpx._chambers(t, eff))
+        for (delta, fs), parent in walk:
+            if fs:
+                assert walk[parent][0] == (delta, fs[:-1])
+            else:
+                assert parent == -1
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "F4", "I2(5)"])
+def test_coset_minima_rows_match_the_enumeration(name):
+    d = {"A3": A3, "B3": B3, "H3": H3, "D4": D4, "F4": F4, "I2(5)": I25}[name]
+    t = ga.table(d)
+    en = cx.engine(d).enumerate(ga.MAX_TABLE)
+    for r in range(len(d.vertices) + 1):
+        for X in combinations(d.vertices, r):
+            assert cpx._coset_minima(t, X) == en.coset_minima(X)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "A3 folded"])
+def test_every_chamber_gets_the_vertex_of_its_key(name):
+    ball = {
+        "A3": lambda: cpx.build_ball(A3, ["a", "b", "c"], 3),
+        "B3": lambda: cpx.build_ball(B3, ["a", "b", "c"], 3),
+        "H3": lambda: cpx.build_ball(H3, ["a", "b", "c"], 3),
+        "D4": lambda: cpx.build_ball(D4, ["a", "b", "c", "d"], 2),
+        "A3 folded": lambda: cpx.build_folded_ball(
+            dynkin.quotient_folding(A3, [("a", "c")]), ["a+c", "b"], 3),
+    }[name]()
+    t = ga.table(ball.ambient)
+    eff = ball.effective_bound
+    parabolics = [ball.type_parabolic[s] for s in ball.types]
+    chambers, rows, _, witness_of = cpx._vertex_rows(
+        ball.ambient, t, eff, parabolics, (eff + 1) // 2, 1)
+    assert chambers == list(cpx._chambers(t, eff))
+    assert len(chambers) == ball.chamber_count
+    for raw, row in zip(chambers, rows):
+        g = ga._wrap(t, raw)
+        for s, v in zip(ball.types, row):
+            located = ball.vertex(ball.locate(g, s))
+            assert located.witness == ga._wrap(t, witness_of[v][1])
+
+
+def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
+    calls = []
+    keyed = ga.GarsideTable.coset_key
+
+    def counted(self, a, X, shift):
+        calls.append((a, X))
+        return keyed(self, a, X, shift)
+
+    monkeypatch.setattr(ga.GarsideTable, "coset_key", counted)
+    for d, types, bound in ((B3, ["a", "b", "c"], 3), (D4, ["a", "d"], 2)):
+        calls.clear()
+        ball = cpx.build_ball(d, types, bound)
+        t = ga.table(d)
+        eng = cx.engine(d)
+        want = []
+        for raw in cpx._chambers(t, ball.effective_bound):
+            last = t.words[raw[1][-1]] if raw[1] else ()
+            for s in ball.types:
+                X = ball.type_parabolic[s]
+                if not any(eng.is_right_descent(last, x) for x in X):
+                    want.append((raw, X))
+        assert calls == want
+        assert len(want) < len(types) * ball.chamber_count
 
 
 def test_json_export_matches_json_dumps():

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,39 @@ def test_gate_projection_exhaustive_vs_oracle():
                 assert model.word[mn] == r.gate.word
                 assert w(cx.multiply(r.gate, r.tail)) == w(x)
                 assert len(x.word) == len(r.gate.word) + len(r.tail.word)
+
+
+def _strip_gate(x, T, side):
+    """Gate and tail by stripping descents on `side` one generator at a time."""
+    eng = cx.engine(x.group)
+    w, stripped = x.word, []
+    while True:
+        for s in sorted(T, key=eng.rank.get):
+            shorter = eng.rmult(w, s) if side == "right" else eng.lmult(s, w)
+            if len(shorter) < len(w):
+                w = shorter
+                stripped.append(s)
+                break
+        else:
+            break
+    tail = reversed(stripped) if side == "right" else stripped
+    return w, eng.canonical(tuple(tail))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4"])
+def test_gate_projection_both_sides_match_the_strip_loop(name):
+    d = {"A3": A3, "B3": B3, "H3": dy.path_diagram("abc", [5, 3]), "D4": D4}[name]
+    gens = d.vertices
+    subsets = [set(c) for r in range(len(gens) + 1)
+               for c in combinations(gens, r)]
+    rng = random.Random(17)
+    for _ in range(40):
+        x = nf(d, "".join(rng.choice(gens) for _ in range(rng.randint(0, 16))))
+        for T in subsets:
+            for side in ("right", "left"):
+                r = cx.gate_projection(x, T, side)
+                assert (r.gate.word, r.tail.word) == _strip_gate(x, T, side)
+                assert r.distance == r.tail.length
 
 
 def test_coset_elements():
