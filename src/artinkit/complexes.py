@@ -231,40 +231,15 @@ def effective_bound(t, bound, max_chambers):
     return eff
 
 
-def _sequences(t, k):
-    """All normal factor sequences of length k, lexicographic by index."""
-    follows = t.follows
-    if k == 0:
-        yield ()
-        return
-
-    def extend(seq, depth):
-        if depth == k:
-            yield seq
-            return
-        for w in follows[seq[-1]]:
-            yield from extend(seq + (w,), depth + 1)
-
-    for v in t.proper:
-        yield from extend((v,), 1)
-
-
-def _chambers(t, eff):
-    """Deterministic chamber stream: raw normal forms in size layers."""
-    for r in range(eff + 1):
-        for d in range(-r, r + 1):
-            k = r - abs(d)
-            for seq in _sequences(t, k):
-                yield (d, seq)
-
-
 def _walk(t, eff):
-    """The `_chambers` stream grouped by parent: (raw, ordinal of its parent).
+    """Deterministic chamber stream, grouped by parent: (raw, ordinal of its
+    parent).
 
-    The parent of (d, f1⋯fk) is (d, f1⋯fk−1), one layer earlier; a chamber
-    with no factors has parent −1. Children of each parent come in index
-    order, so walking the previous layer in order gives the lexicographic
-    order of `_sequences`.
+    Raw normal forms come in size layers; within a layer, by Δ-exponent d
+    and then by factor sequence, lexicographic by index. The parent of
+    (d, f1⋯fk) is (d, f1⋯fk−1), one layer earlier; a chamber with no
+    factors has parent −1. Children of each parent come in index order, so
+    walking the previous layer in order keeps the sequences lexicographic.
     """
     follows, proper = t.follows, t.proper
     # d -> (ordinal of the first, factors of each) over the previous layer's
@@ -289,19 +264,6 @@ def _walk(t, eff):
                     yield (d, fs), p
                     n += 1
         prev = layer
-
-
-def _coset_minima(t, X):
-    """rep[w] = w^X, the minimal element of w·W_X: `Enumeration.coset_minima`
-    read off the table. A right descent s in X gives w·s, shorter and in the
-    same coset, at an earlier index."""
-    mask = sum(1 << t.rank[s] for s in X)
-    rdesc, rmul = t.rdesc, t.rmul
-    rep = []
-    for w in range(t.n):
-        both = rdesc[w] & mask
-        rep.append(rep[rmul[w][(both & -both).bit_length() - 1]] if both else w)
-    return rep
 
 
 # -- parallel key computation --------------------------------------------------
@@ -383,7 +345,7 @@ def _vertex_rows(d, t, eff, parabolics, shift, jobs):
     earlier sibling, normal as L(w^X) ⊆ L(w). So every vertex is first met
     at a chamber that computed its key.
     """
-    minima = [_coset_minima(t, X) for X in parabolics]
+    minima = [t.enumeration.coset_minima(X) for X in parabolics]
     chambers = []
     rows = []  # per type: the ordinal to copy from or −1, then the vertex
     needed = []  # (raw, type) pairs that need a key, in stream order
@@ -492,11 +454,9 @@ class CoxeterComplex:
 
 def build_coxeter_complex(d):
     """The exact full coset complex of the finite Coxeter group of d."""
-    from . import coxeter as cx
-
     if not dynkin.is_spherical(d):
         raise NotSpherical("Coxeter complex requires a spherical diagram")
-    en = cx.engine(d).enumerate(ga.MAX_TABLE)
+    en = ga.table(d).enumeration
     gens = d.vertices
     n = len(en.words)
     # a coset first appears at its minimal element, so ids follow ShortLex
@@ -553,8 +513,6 @@ def apartment_cycle(d, types=None, base=None):
     minimal coset representative and lift(w*) is its positive lift, a single
     simple factor (Δ when w* = w0). The embedding is checked to be injective.
     """
-    from . import coxeter as cx
-
     if not dynkin.is_spherical(d):
         raise NotSpherical("apartments require a spherical diagram")
     if types is None:
@@ -563,7 +521,7 @@ def apartment_cycle(d, types=None, base=None):
     if base is None:
         base = ga.identity(d)
     t = ga.table(d)
-    en = cx.engine(d).enumerate(ga.MAX_TABLE)
+    en = t.enumeration
     gens = d.vertices
     reps = {s: en.coset_minima(set(gens) - {s}) for s in types}
     verts = []

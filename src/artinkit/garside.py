@@ -65,7 +65,8 @@ class GarsideTable:
             raise NotSpherical(f"not a spherical diagram: {d.vertices}")
         self.d = d
         self.eng = eng = cx.engine(d)
-        en = eng.enumerate(cap=MAX_TABLE)
+        # kept for the coset-minima rows of balls, complexes and apartments
+        self.enumeration = en = eng.enumerate(cap=MAX_TABLE)
         self.words = words = en.words
         self.idx = {w: i for i, w in enumerate(words)}
         self.n = n = len(words)

@@ -220,28 +220,6 @@ def test_check_json_format(dyn):
     assert blob["status"] == "VERIFIED"
 
 
-def test_json_output_is_what_json_dumps_writes(capsys):
-    from artinkit import cli
-
-    corpus = Path(__file__).parent / "corpus"
-    a3, b3, d4 = (str(corpus / f"{n}.dyn") for n in ("a3", "b3", "d4"))
-    commands = [
-        ["gate", str(corpus)],
-        ["gate", a3],
-        ["classify", *sorted(str(p) for p in corpus.glob("*.dyn"))],
-        ["check", "girth", b3, "--bound", "4", "--types", "a,c"],
-        ["check", "4wheel", d4, "--bound", "2"],
-        ["check", "bowtie", a3, "--bound", "3"],
-        ["check", "order", b3, "--bound", "3"],
-    ]
-    for argv in commands:
-        cli.main([*argv, "--format", "json"])
-        out = capsys.readouterr().out
-        obj = json.loads(out)
-        want = json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
-        assert out == want + "\n", argv
-
-
 def test_gate_text_and_exit0(dyn):
     p = dyn("A3.dyn", A3)
     r = run("gate", p)

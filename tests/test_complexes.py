@@ -29,9 +29,34 @@ B3 = path("abc", [4, 3])
 H3 = path("abc", [5, 3])
 I24 = path("ab", [4])
 I25 = path("ab", [5])
-F4 = path("abcd", [3, 4, 3])
 D4 = dynkin.DynkinDiagram(
     ("a", "b", "c", "d"), (("a", "c", 3), ("b", "c", 3), ("c", "d", 3)))
+
+
+def _sequences(t, k):
+    """All normal factor sequences of length k, lexicographic by index."""
+    if k == 0:
+        yield ()
+        return
+
+    def extend(seq, depth):
+        if depth == k:
+            yield seq
+            return
+        for w in t.follows[seq[-1]]:
+            yield from extend(seq + (w,), depth + 1)
+
+    for v in t.proper:
+        yield from extend((v,), 1)
+
+
+def _chambers(t, eff):
+    """Reference chamber stream: raw normal forms in size layers, by depth
+    first search over the factor sequences of each Δ-exponent."""
+    for r in range(eff + 1):
+        for d in range(-r, r + 1):
+            for seq in _sequences(t, r - abs(d)):
+                yield (d, seq)
 
 
 def adjacency(ball):
@@ -86,7 +111,7 @@ def test_merge_iff_coset_equality_exhaustive():
     # every chamber pair, every type: same vertex <=> h^-1 g in A_{S-{s}}
     b = cpx.build_ball(A2, ["a", "b"], 3)
     t = ga.table(A2)
-    chambers = [ga._wrap(t, raw) for raw in cpx._chambers(t, b.effective_bound)]
+    chambers = [ga._wrap(t, raw) for raw in _chambers(t, b.effective_bound)]
     assert len(chambers) == 67
     located = [
         {s: b.locate(g, s) for s in b.types} for g in chambers
@@ -104,7 +129,7 @@ def test_merge_iff_coset_equality_exhaustive():
         b = cpx.build_ball(d, ["a", "b", "c"], 3)
         t = ga.table(d)
         chambers = [ga._wrap(t, raw)
-                    for raw in cpx._chambers(t, b.effective_bound)]
+                    for raw in _chambers(t, b.effective_bound)]
         assert len(chambers) == b.chamber_count
         for s in b.types:
             on = {}
@@ -131,7 +156,7 @@ def test_edge_witness_is_the_chamber_that_created_the_edge():
     b = cpx.build_ball(B3, ["a", "b", "c"], 3)
     t = ga.table(B3)
     first = {}
-    for raw in cpx._chambers(t, b.effective_bound):
+    for raw in _chambers(t, b.effective_bound):
         g = ga._wrap(t, raw)
         row = [b.locate(g, s) for s in b.types]
         for i, j in combinations(sorted(row), 2):
@@ -153,7 +178,7 @@ def test_adjacent_vertices_have_distinct_types():
 def test_witness_is_size_minimal_in_coset():
     b = cpx.build_ball(A2, ["a", "b"], 4)
     t = ga.table(A2)
-    for raw in cpx._chambers(t, b.effective_bound):
+    for raw in _chambers(t, b.effective_bound):
         g = ga._wrap(t, raw)
         for s in b.types:
             v = b.locate(g, s)
@@ -164,7 +189,7 @@ def test_flagness_on_inner_triangles():
     b = cpx.build_ball(A3, ["a", "b", "c"], 4)
     t = ga.table(A3)
     covered = set()
-    for raw in cpx._chambers(t, b.effective_bound):
+    for raw in _chambers(t, b.effective_bound):
         g = ga._wrap(t, raw)
         row = sorted(b.locate(g, s) for s in b.types)
         covered.add(tuple(row))
@@ -194,22 +219,12 @@ def test_walk_is_the_chamber_stream_grouped_by_parent():
     for d, eff in ((A3, 4), (B3, 4), (b3_reversed, 4), (D4, 2), (I25, 5)):
         t = ga.table(d)
         walk = list(cpx._walk(t, eff))
-        assert [raw for raw, _ in walk] == list(cpx._chambers(t, eff))
+        assert [raw for raw, _ in walk] == list(_chambers(t, eff))
         for (delta, fs), parent in walk:
             if fs:
                 assert walk[parent][0] == (delta, fs[:-1])
             else:
                 assert parent == -1
-
-
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "F4", "I2(5)"])
-def test_coset_minima_rows_match_the_enumeration(name):
-    d = {"A3": A3, "B3": B3, "H3": H3, "D4": D4, "F4": F4, "I2(5)": I25}[name]
-    t = ga.table(d)
-    en = cx.engine(d).enumerate(ga.MAX_TABLE)
-    for r in range(len(d.vertices) + 1):
-        for X in combinations(d.vertices, r):
-            assert cpx._coset_minima(t, X) == en.coset_minima(X)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "A3 folded"])
@@ -227,7 +242,7 @@ def test_every_chamber_gets_the_vertex_of_its_key(name):
     parabolics = [ball.type_parabolic[s] for s in ball.types]
     chambers, rows, _, witness_of = cpx._vertex_rows(
         ball.ambient, t, eff, parabolics, (eff + 1) // 2, 1)
-    assert chambers == list(cpx._chambers(t, eff))
+    assert chambers == list(_chambers(t, eff))
     assert len(chambers) == ball.chamber_count
     for raw, row in zip(chambers, rows):
         g = ga._wrap(t, raw)
@@ -251,7 +266,7 @@ def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
         t = ga.table(d)
         eng = cx.engine(d)
         want = []
-        for raw in cpx._chambers(t, ball.effective_bound):
+        for raw in _chambers(t, ball.effective_bound):
             last = t.words[raw[1][-1]] if raw[1] else ()
             for s in ball.types:
                 X = ball.type_parabolic[s]
@@ -503,7 +518,7 @@ def test_link_a3_ahat_matches_a2_subball():
     sub_v = {}
     sub_edges = set()
     link_pairs = set()
-    for raw in cpx._chambers(t, b.effective_bound):
+    for raw in _chambers(t, b.effective_bound):
         g = ga._wrap(t, raw)
         if b.locate(g, "a") != va:
             continue
