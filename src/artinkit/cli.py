@@ -67,7 +67,6 @@ def _build(d, args, types=None):
         args.bound,
         margin=args.margin,
         max_chambers=args.max_chambers,
-        jobs=args.jobs,
     )
 
 
@@ -285,7 +284,6 @@ def _parser():
         p.add_argument("--margin", type=int, default=None)
         p.add_argument("--max-chambers", type=_positive,
                        default=complexes.DEFAULT_MAX_CHAMBERS)
-        p.add_argument("--jobs", type=_positive, default=1)
         if with_cycles:
             p.add_argument("--max-cycles", type=_positive,
                            default=checks.DEFAULT_MAX_CYCLES)

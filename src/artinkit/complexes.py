@@ -8,10 +8,11 @@ the same vertex exactly when their cosets agree, decided by an exact
 canonical key. Only some chambers pay for a key: those with no factors,
 and, per type, those whose last factor w has no right descent in X(s).
 Any other chamber reads its vertex off the chamber with w replaced by the
-minimal representative of w·W_X: its parent or an earlier sibling. No
-finite ball is complete, so every downstream verdict about a ball is
-one-sided: inner-marked vertices are the ones whose local structure the
-enumeration is known to cover.
+minimal representative of w·W_X: its parent or an earlier sibling. A ball
+is built in one pass over this chamber stream, each chamber claiming its
+vertices and edges as it comes. No finite ball is complete, so every
+downstream verdict about a ball is one-sided: inner-marked vertices are the
+ones whose local structure the enumeration is known to cover.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from multiprocessing import get_context
 
 from . import dynkin
 from . import garside as ga
@@ -266,38 +266,10 @@ def _walk(t, eff):
         prev = layer
 
 
-# -- parallel key computation --------------------------------------------------
-
-
-def _key_batch(args):
-    # forked workers find the table in the module state they inherited
-    d, chunk, parabolics, shift = args
-    key = ga.table(d).coset_key
-    return [key(raw, parabolics[ti], shift) for raw, ti in chunk]
-
-
-def _compute_keys(d, needed, parabolics, shift, jobs):
-    """Coset keys of the (raw chamber, type index) pairs, in order."""
-    if jobs <= 1 or len(needed) < 64:
-        return _key_batch((d, needed, parabolics, shift))
-    step = (len(needed) + jobs - 1) // jobs
-    chunks = [needed[i:i + step] for i in range(0, len(needed), step)]
-    ctx = get_context("fork")
-    with ctx.Pool(processes=jobs) as pool:
-        parts = pool.map(
-            _key_batch, [(d, chunk, parabolics, shift) for chunk in chunks]
-        )
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
 # -- ball construction --------------------------------------------------------
 
 
-def build_ball(d, types, bound, *, margin=None, max_chambers=DEFAULT_MAX_CHAMBERS,
-               jobs=1):
+def build_ball(d, types, bound, *, margin=None, max_chambers=DEFAULT_MAX_CHAMBERS):
     """Enumerated ball of the coset complex with vertex types `types`.
 
     Vertices of type s are cosets g·A_{S∖{s}}. The enumeration covers all
@@ -311,12 +283,11 @@ def build_ball(d, types, bound, *, margin=None, max_chambers=DEFAULT_MAX_CHAMBER
         raise ValueError("need at least one vertex type")
     allv = set(d.vertices)
     type_parabolic = {s: frozenset(allv - {s}) for s in types}
-    return _assemble(d, types, type_parabolic, bound, margin, max_chambers,
-                     jobs, d)
+    return _assemble(d, types, type_parabolic, bound, margin, max_chambers, d)
 
 
 def build_folded_ball(folding, types, bound, *, margin=None,
-                      max_chambers=DEFAULT_MAX_CHAMBERS, jobs=1):
+                      max_chambers=DEFAULT_MAX_CHAMBERS):
     """Ball of the folded complex: type s' covers cosets of A_{S∖fiber(s')}."""
     report = dynkin.validate_folding(folding)
     if not report:
@@ -332,71 +303,67 @@ def build_folded_ball(folding, types, bound, *, margin=None,
         s: frozenset(allv - set(folding.fiber(s))) for s in types
     }
     return _assemble(src, types, type_parabolic, bound, margin, max_chambers,
-                     jobs, folding.target)
+                     folding.target)
 
 
-def _vertex_rows(d, t, eff, parabolics, shift, jobs):
-    """(chambers, rows, by_key, witness_of): rows[c][i] is the vertex of
-    chamber c for parabolics[i], by_key[i] maps coset keys to vertices and
-    witness_of[v] = (i, first chamber on v).
+def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
+    """Yield (raw, row) for each chamber of the stream, where row[i] is the
+    chamber's vertex for parabolics[i]. Vertices are numbered as first met:
+    by_key[i] maps coset keys to vertices and witness_of[v] = (i, first
+    chamber on v).
 
     The X-vertex of (d, f1⋯fk) is that of (d, f1⋯fk−1·w^X) for w = fk, since
     w = w^X·w_X with w_X in A_X⁺: the parent when w^X = 1, otherwise an
     earlier sibling, normal as L(w^X) ⊆ L(w). So every vertex is first met
-    at a chamber that computed its key.
+    at a chamber that computes its key.
     """
     minima = [t.enumeration.coset_minima(X) for X in parabolics]
-    chambers = []
-    rows = []  # per type: the ordinal to copy from or −1, then the vertex
-    needed = []  # (raw, type) pairs that need a key, in stream order
+    key = t.coset_key
+    rows = []  # per chamber ordinal, its row
     kids = {}  # last factor -> ordinal among the current parent's children
     for c, (raw, parent) in enumerate(_walk(t, eff)):
-        chambers.append(raw)
-        if parent < 0:
-            row = [-1] * len(parabolics)
-            needed.extend((raw, i) for i in range(len(parabolics)))
-        else:
+        w = 0  # the identity: its own minimal representative
+        if parent >= 0:
             if kids.get(0) != parent:
                 kids = {0: parent}
             w = raw[1][-1]
             kids[w] = c
-            row = []
-            for i, rep in enumerate(minima):
-                m = rep[w]
-                if m == w:
-                    needed.append((raw, i))
-                    row.append(-1)
-                else:
-                    row.append(kids[m])
-        rows.append(row)
-    keys = iter(_compute_keys(d, needed, parabolics, shift, jobs))
-
-    by_key = [{} for _ in parabolics]
-    witness_of = []
-    for raw, row in zip(chambers, rows):
-        for i, src in enumerate(row):
-            if src >= 0:
-                row[i] = rows[src][i]
+        row = []
+        for i, rep in enumerate(minima):
+            m = rep[w]
+            if m != w:
+                row.append(rows[kids[m]][i])
                 continue
-            key = next(keys)
-            vid = by_key[i].get(key)
+            k = key(raw, parabolics[i], shift)
+            vid = by_key[i].get(k)
             if vid is None:
-                vid = by_key[i][key] = len(witness_of)
+                vid = by_key[i][k] = len(witness_of)
                 witness_of.append((i, raw))
-            row[i] = vid
-    return chambers, rows, by_key, witness_of
+            row.append(vid)
+        rows.append(row)
+        yield raw, row
 
 
-def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
+def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
               type_diagram):
+    """Build the ball in one pass over the chamber stream: each chamber
+    claims the edges between its vertices that no earlier chamber has, by
+    first-met vertex ids in type order; the ids are then sorted into their
+    deterministic order and the edges remapped once."""
     t = ga.table(d)
     eff = effective_bound(t, bound, max_chambers)
     if margin is None:
         margin = 2  # twice the canonical size of the full twist
     shift = (eff + 1) // 2
     parabolics = [type_parabolic[s] for s in types]
-    chambers, chamber_vids, by_key, witness_of = _vertex_rows(
-        d, t, eff, parabolics, shift, jobs)
+    by_key = [{} for _ in parabolics]
+    witness_of = []
+    claimed = {}  # edge between first-met ids -> raw first chamber on both
+    stream = _vertex_rows(t, eff, parabolics, shift, by_key, witness_of)
+    for chamber_count, (raw, row) in enumerate(stream, 1):
+        for e in combinations(row, 2):  # in type order
+            if e not in claimed:
+                claimed[e] = raw
 
     # deterministic ids: sort by (type position, witness size, witness text)
     def sort_key(v):
@@ -405,24 +372,17 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers, jobs,
 
     order = sorted(range(len(witness_of)), key=sort_key)
     newid = [0] * len(order)
+    vertices = []
     for new, old in enumerate(order):
         newid[old] = new
-    vertices = []
-    for old in order:
         i, raw = witness_of[old]
         vertices.append(BallVertex(
-            id=newid[old], type=types[i], witness=ga._wrap(t, raw)))
+            id=new, type=types[i], witness=ga._wrap(t, raw)))
 
-    # each edge keeps the raw form of the first chamber on both its ends
-    edges = {}
-    for raw, row in zip(chambers, chamber_vids):
-        for e in combinations(sorted([newid[v] for v in row]), 2):
-            if e not in edges:
-                edges[e] = raw
+    # new ids grow with the type position, so each edge stays increasing
+    edges = {(newid[a], newid[b]): raw for (a, b), raw in claimed.items()}
+    del claimed
     edge_list = sorted(edges)
-    # free the chamber stream before the ball builds its adjacency
-    chamber_count = len(chambers)
-    del chambers, chamber_vids
 
     inner = frozenset(
         v.id for v in vertices if v.witness.size <= eff - margin

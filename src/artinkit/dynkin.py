@@ -82,6 +82,7 @@ class DynkinDiagram:
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_spherical", None)  # filled by is_spherical
 
     # -- basic queries ---------------------------------------------------
 
@@ -486,12 +487,14 @@ def classify(d):
 
 
 def is_spherical(d):
-    """True iff every connected component has finite Coxeter group."""
-    if d.rank == 0:
-        return True
-    if any(m == INFINITY for (_, _, m) in d.edges):
-        return False
-    return all(classify(d.induced(comp)).is_spherical for comp in d.components())
+    """True iff every connected component has finite Coxeter group (the
+    verdict is computed once and kept on the diagram)."""
+    if d._spherical is None:
+        object.__setattr__(d, "_spherical", d.rank == 0 or (
+            all(m != INFINITY for (_, _, m) in d.edges)
+            and all(classify(d.induced(comp)).is_spherical
+                    for comp in d.components())))
+    return d._spherical
 
 
 def is_locally_reducible(d):

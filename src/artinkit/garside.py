@@ -30,7 +30,7 @@ spherical type, which the table checks at build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import coxeter as cx
@@ -330,7 +330,7 @@ class GarsideTable:
 
     def simple(self, f):
         """The immutable Simple of index f, made once and shared by every wrap."""
-        s = self.simples[f] = Simple(cx.CoxeterElement(self.d, self.words[f]))
+        s = self.simples[f] = Simple(cx.CoxeterElement(self.d, self.words[f]), f)
         return s
 
 
@@ -358,6 +358,7 @@ def table(d):
 @dataclass(frozen=True)
 class Simple:
     underlying: cx.CoxeterElement
+    index: int = field(compare=False, repr=False)  # ShortLex index in its table
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ def _wrap(t, raw):
 
 
 def _raw(t, g):
-    return (g.delta_power, tuple(t.idx[s.underlying.word] for s in g.factors))
+    return (g.delta_power, tuple(s.index for s in g.factors))
 
 
 def identity(d):

@@ -6,6 +6,7 @@ one exception calls `cli.main` in process, to patch in the internal fault
 that its exit code reports.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -282,19 +283,29 @@ def test_fuzz_deterministic(dyn):
     assert r1.stdout == "fuzz: 40 words over [a, b] ok (seed 9)\n"
 
 
-def test_jobs_do_not_change_bytes(dyn):
-    p = dyn("A3.dyn", A3)
-    outs = []
-    for jobs in ("1", "3"):
-        r = run("ball", p, "--bound", "3", "--jobs", jobs, "--format", "json")
-        assert r.returncode == 0
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
-    outs = []
-    for jobs in ("1", "3"):
-        r = run("check", "order", p, "--bound", "3", "--jobs", jobs)
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
+# sha256 of `ball tests/corpus/<name>.dyn --bound 4 --format json`
+BALL_JSON_SHA256 = {
+    "a3": "012062f38086c4a26e5fcdcc3fd7280bc389349c381f38fa54213f50bf7baa8a",
+    "b3": "d86e3b397fe2a087c570815767f65aff5ec8aa8fe49da180e265a0136fa27000",
+    "h3": "bd07cda436f56a72d613b226144858356b7b5073e48e0223965409a2fb71a13e",
+    "d4": "f40a4c37d98a743ec3f525d95bc25fc0e3eebc9210af885af8c3b5e61696939d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BALL_JSON_SHA256))
+def test_ball_json_bytes_are_pinned(name):
+    corpus = Path(__file__).parent / "corpus"
+    r = run("ball", str(corpus / f"{name}.dyn"), "--bound", "4",
+            "--format", "json")
+    assert r.returncode == 0
+    digest = hashlib.sha256(r.stdout.encode("utf-8")).hexdigest()
+    assert digest == BALL_JSON_SHA256[name]
+
+
+def test_jobs_is_not_an_option(dyn):
+    r = run("ball", dyn("A3.dyn", A3), "--bound", "3", "--jobs", "2")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in r.stderr
 
 
 def test_invariant_violation_has_its_own_exit_code(dyn, monkeypatch, capsys):

@@ -204,11 +204,10 @@ def test_flagness_on_inner_triangles():
         assert tuple(sorted(tri)) in covered
 
 
-def test_rebuild_and_jobs_are_byte_identical():
+def test_rebuild_is_byte_identical():
     one = cpx.build_ball(A2, ["a", "b"], 4).to_json_str()
     again = cpx.build_ball(A2, ["a", "b"], 4).to_json_str()
-    parallel = cpx.build_ball(A2, ["a", "b"], 4, jobs=2).to_json_str()
-    assert one == again == parallel
+    assert one == again
 
 
 # -- chambers that read their vertices off the parent or a sibling ------------
@@ -240,11 +239,13 @@ def test_every_chamber_gets_the_vertex_of_its_key(name):
     t = ga.table(ball.ambient)
     eff = ball.effective_bound
     parabolics = [ball.type_parabolic[s] for s in ball.types]
-    chambers, rows, _, witness_of = cpx._vertex_rows(
-        ball.ambient, t, eff, parabolics, (eff + 1) // 2, 1)
+    witness_of = []
+    stream = list(cpx._vertex_rows(t, eff, parabolics, (eff + 1) // 2,
+                                   [{} for _ in parabolics], witness_of))
+    chambers = [raw for raw, _ in stream]
     assert chambers == list(_chambers(t, eff))
     assert len(chambers) == ball.chamber_count
-    for raw, row in zip(chambers, rows):
+    for raw, row in stream:
         g = ga._wrap(t, raw)
         for s, v in zip(ball.types, row):
             located = ball.vertex(ball.locate(g, s))

@@ -269,6 +269,18 @@ def test_spherical_flags():
     assert dy.is_spherical(D([], []))
 
 
+def test_is_spherical_classifies_each_diagram_once(monkeypatch):
+    calls = []
+    classify = dy.classify
+    monkeypatch.setattr(dy, "classify", lambda d: calls.append(d) or classify(d))
+    d = D("abcd", [("a", "b", 4), ("b", "c", 3)])
+    assert [dy.is_spherical(d) for _ in range(3)] == [True] * 3
+    assert len(calls) == 2  # one per component, on the first call only
+    again = D("abcd", [("a", "b", 4), ("b", "c", 3)])
+    assert again == d and hash(again) == hash(d)
+    assert dy.is_spherical(again) and len(calls) == 4
+
+
 def test_isomorphism_respects_labels():
     d1 = dy.path_diagram("abc", [3, 4])
     d2 = dy.path_diagram("xyz", [4, 3])

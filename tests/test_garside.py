@@ -259,6 +259,16 @@ def test_closed_form_inverse(d):
         assert t.raw_multiply(raw, inv) == t.raw_multiply(inv, raw) == (0, ())
 
 
+def test_simples_carry_their_index_outside_equality():
+    t = ga.table(B3)
+    g = fl(B3, "abcbacb")
+    assert ga._raw(t, g) == (g.delta_power,
+                             tuple(t.idx[s.underlying.word] for s in g.factors))
+    s = g.factors[0]
+    twin = ga.Simple(s.underlying, s.index + 1)
+    assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+
+
 def test_in_parabolic():
     assert ga.in_parabolic(fl(A3, "ab"), {"a", "b"})
     g = fl(A3, [("b", 1), ("a", 1), ("b", -1)])
