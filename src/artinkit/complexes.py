@@ -136,15 +136,16 @@ class ComplexBall:
         # one encoder for every string: json.dumps would build one per call
         enc = json.JSONEncoder(ensure_ascii=False).encode
 
-        vertices = [
+        # each block is joined before the next is listed: one list at a time
+        edges = block([f"    [\n      {i},\n      {j}\n    ]" for (i, j) in self.edges])
+        inner = block([f"    {i}" for i in sorted(self.inner)])
+        vertices = block([
             f'    {{\n      "id": {v.id},\n      "type": {enc(v.type)},\n'
             f'      "witness": {enc(ga.serialize(v.witness))}\n    }}'
             for v in self.vertices
-        ]
-        edges = [f"    [\n      {i},\n      {j}\n    ]" for (i, j) in self.edges]
-        inner = [f"    {i}" for i in sorted(self.inner)]
-        return (f'{{\n  "bound": {self.bound},\n  "edges": {block(edges)},\n'
-                f'  "inner": {block(inner)},\n  "vertices": {block(vertices)}\n}}')
+        ])
+        return (f'{{\n  "bound": {self.bound},\n  "edges": {edges},\n'
+                f'  "inner": {inner},\n  "vertices": {vertices}\n}}')
 
     def to_dot(self):
         color = {

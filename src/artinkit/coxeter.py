@@ -3,15 +3,23 @@
 Elements are canonical ShortLex-minimal reduced words (tuples of generator
 names); the generator order is the diagram's vertex declaration order.
 
-The word problem is solved in an exact geometric representation (Casselman,
-"Computation in Coxeter groups I: Multiplication", 2002).  Each label gets
-Cartan entries (a_st, a_ts), s declared before t: 3 → (−1, −1),
-4 → (−2, −1), 5 → (−φ, −φ), 6 → (−3, −1), ∞ → (−2, −2), and 0 for commuting
-pairs.  The generator s acts on coordinate vectors by y_s ↦ −y_s and
-y_t ↦ y_t − a_st·y_s; by Vinberg (1971) this is a faithful reflection
-representation even when the entries are not symmetric or the diagram has
-cycles.  Coordinates are ints, or pairs (a, b) = a + bφ with φ² = φ + 1 when
-some label is 5, so equality and sign tests are exact.
+The word problem is solved by the numbers game (Björner & Brenti,
+Combinatorics of Coxeter Groups, ch. 4; Casselman, "Computation in Coxeter
+groups I", 2002).  A label m on s–t, s declared first, gives Cartan entries
+(a_st, a_ts) with a_st·a_ts = 4cos²(π/m): 3 → (−1, −1), 4 → (−2, −1),
+6 → (−3, −1), ∞ → (−2, −2), any other m → (−4cos²(π/m), −1); commuting
+pairs get 0.  s acts by y_s ↦ −y_s and y_t ↦ y_t − a_st·y_s: a faithful
+representation with the positive orthant as a chamber, also for
+non-symmetric entries on cycles (Vinberg, "Discrete linear groups
+generated by reflections", 1971).
+
+Labels 3, 4, 6 and ∞ give integer coordinates.  Other labels put them in
+Z[c], c = 2cos(2π/M) with M the lcm of those labels: int tuples over
+1, c, …, c^(deg−1), deg = φ(M)/2, reduced modulo the minimal polynomial Ψ_M
+of c, so a value is zero exactly when its tuple is; 4cos²(π/m) is
+2 + L_(M/m)(c) for the Lucas polynomials L_k(2cos θ) = 2cos kθ.  A nonzero
+value v takes the sign of v(mid), mid the midpoint of a dyadic bracket of
+c, once |v(mid)| exceeds a bound on |v'| times the bracket's half-width.
 
 An element w is represented by y = w·f0, where f0 = (1, …, 1); t is a left
 descent of w exactly when y_t < 0.  Peeling off the least left descent until
@@ -20,17 +28,16 @@ Enumeration runs right multiplication on w⁻¹·f0 breadth-first and yields
 index tables (right multiplication, parent and last letter of each word).
 Infinite groups work the same way up to the enumeration cap.
 
-Diagrams with a label outside {2, 3, 4, 5, 6, ∞} keep the braid-move closure
-word problem (Tits rewriting): exponential in the worst case, exact always.
-
 Engines (memo tables) are cached per diagram and grow monotonically; writes
 are idempotent, so concurrent readers in one process observe serial behavior.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, zip_longest
 
 from .dynkin import DynkinDiagram, INFINITY, is_spherical
 from .errors import CapExceeded, InvariantViolated, NotSpherical, UnknownGenerator
@@ -59,30 +66,63 @@ class GateResult:
     distance: int
 
 
-# Cartan entries (a_st, a_ts) per label for s declared before t, as pairs
-# (a, b) = a + bφ; the integer engine reads the a parts only.
-_CARTAN = {
-    3: ((-1, 0), (-1, 0)),
-    4: ((-2, 0), (-1, 0)),
-    5: ((0, -1), (0, -1)),
-    6: ((-3, 0), (-1, 0)),
-    INFINITY: ((-2, 0), (-2, 0)),
-}
+# Integer Cartan entries (a_st, a_ts) per label for s declared before t
+_CARTAN = {3: (-1, -1), 4: (-2, -1), 6: (-3, -1), INFINITY: (-2, -2)}
 
 
-def _phi_negative(v):
-    """Exact sign test a + bφ < 0, from 2(a + bφ) = (2a + b) + b√5."""
-    a, b = v
-    x = 2 * a + b
-    if x <= 0 and b <= 0:
-        return x < 0 or b < 0
-    if x >= 0 and b >= 0:
-        return False
-    return x * x > 5 * b * b if x < 0 else 5 * b * b > x * x
+# -- Z[c]: polynomials are int lists, constant term first ---------------------
 
 
-def _int_negative(v):
-    return v < 0
+def _add(*polys):
+    return [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
+
+
+def _divmod(p, q):
+    """Quotient and remainder of p by the monic q."""
+    p, n = list(p), len(q) - 1
+    quot = [0] * max(len(p) - n, 0)
+    for k in reversed(range(len(quot))):
+        f = quot[k] = p[k + n]
+        for i, a in enumerate(q):
+            p[k + i] -= f * a
+    return quot, (p + [0] * n)[:n]
+
+
+def _lucas(n):
+    """[L_0, …, L_n] with L_k(2cos θ) = 2cos kθ: L_(k+1) = x·L_k − L_(k−1)."""
+    out = [[2], [0, 1]]
+    while len(out) <= n:
+        out.append(_add([0] + out[-1], [-a for a in out[-2]]))
+    return out[:n + 1]
+
+
+def _psi(M):
+    """Minimal polynomial Ψ_M of 2cos(2π/M), M ≥ 3.
+
+    R_d = 1 + L_1 + … + L_s for d = 2s + 1, and L_(s−1) + L_(s−3) + … for
+    d = 2s (ending in L_1, or in 1 when s is odd), has the roots 2cos(2πj/d),
+    0 < j < d/2, so it is the product of Ψ_e over the divisors e ≥ 3 of d.
+    """
+    psi, lucas = {}, _lucas(M // 2)
+    for d in [d for d in range(3, M + 1) if M % d == 0]:
+        s = d // 2
+        if d % 2:
+            r = _add([1], *lucas[1:s + 1])
+        else:
+            r = _add([s % 2], *lucas[s - 1:0:-2])
+        for e, f in psi.items():
+            if d % e == 0:
+                r, rem = _divmod(r, f)
+                if any(rem):
+                    raise InvariantViolated(f"Ψ_{e} does not divide R_{d}")
+        psi[d] = r
+    return psi[M]
+
+
+def _at(coeffs, num, k):
+    """2^(k·deg p)·p(num/2^k) for p = coeffs, an integer of p's sign there."""
+    top = len(coeffs) - 1
+    return sum(a * num ** i << k * (top - i) for i, a in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -131,19 +171,38 @@ class _Engine:
         self.gens = diagram.vertices
         self.rank = {s: i for i, s in enumerate(self.gens)}
         self._rmult = {}
-        golden = any(m == 5 for _, _, m in diagram.edges)
-        # nbrs[i] = [(j, a_ij)] over the generators j that do not commute with i
-        self._nbrs = [[] for _ in self.gens]
+        ring = [m for _, _, m in diagram.edges if m not in _CARTAN]
+        M = math.lcm(*ring)
+        # the ring is Z itself, of degree 1, when every label is in _CARTAN
+        self._psi = psi = _psi(M) if ring else [0, 1]
+        self._deg = deg = len(psi) - 1
+        # −a_st and −a_ts in Z[c], with 4cos²(π/m) = 2 + L_(M/m)(c)
+        entries = {m: ([-a], [-b]) for m, (a, b) in _CARTAN.items()}
+        entries.update({m: (_add([2], _lucas(M // m)[-1]), [1]) for m in ring})
+        # ops[i] = [(t, q, k)]: s_i adds k·v_q to the flat coordinate t, where
+        # v is the block of coordinates of y_i; column q of the product by p
+        # is p·c^q reduced
+        self._ops = [[] for _ in self.gens]
         for u, v, m in diagram.edges:
-            a_uv, a_vu = _CARTAN[m]
-            if not golden:
-                a_uv, a_vu = a_uv[0], a_vu[0]
             i, j = self.rank[u], self.rank[v]
-            self._nbrs[i].append((j, a_uv))
-            self._nbrs[j].append((i, a_vu))
-        self._f0 = ((1, 0) if golden else 1,) * len(self.gens)
-        self._negative = _phi_negative if golden else _int_negative
-        self._reflect = self._reflect_phi if golden else self._reflect_int
+            for src, dst, p in zip((i, j), (j, i), entries[m]):
+                cols = [_divmod([0] * q + p, psi)[1] for q in range(deg)]
+                self._ops[src] += [(dst * deg + r, q, k) for q, col in enumerate(cols)
+                                   for r, k in enumerate(col) if k]
+        self._f0 = ((1,) + (0,) * (deg - 1)) * len(self.gens)
+        if not ring:
+            self._reflect, self._negative = self._reflect_int, lambda y, i: y[i] < 0
+            return
+        self._reflect, self._negative = self._reflect_ring, self._ring_negative
+        for i, ops in enumerate(self._ops):  # and y_i ↦ y_i − 2·y_i
+            ops += [(i * deg + r, r, -2) for r in range(deg)]
+        self._signs = {}
+        # c is the one root of Ψ_M in (2cos(3π/M), 2], and Ψ_M < 0 below it
+        k = 30
+        L, H = math.floor(2 * math.cos(3 * math.pi / M) * 2 ** k), 2 << k
+        if not _at(psi, L, k) < 0 < _at(psi, H, k):
+            raise InvariantViolated(f"Ψ_{M} does not change sign at 2cos(2π/{M})")
+        self._brackets = [(L, H, k)]  # c ∈ (L/2^k, H/2^k), halving
 
     def key(self, word):
         return tuple(self.rank[s] for s in word)
@@ -159,16 +218,40 @@ class _Engine:
     def _reflect_int(self, y, i):
         v = y[i]
         y[i] = -v
-        for j, a in self._nbrs[i]:
-            y[j] -= a * v
+        for t, _, k in self._ops[i]:
+            y[t] += k * v
 
-    def _reflect_phi(self, y, i):
-        a, b = y[i]
-        y[i] = (-a, -b)
-        for j, (p, q) in self._nbrs[i]:
-            c, d = y[j]
-            # (p + qφ)(a + bφ) = (pa + qb) + (pb + qa + qb)φ since φ² = φ + 1
-            y[j] = (c - p * a - q * b, d - p * b - q * (a + b))
+    def _reflect_ring(self, y, i):
+        v = y[i * self._deg:(i + 1) * self._deg]
+        for t, q, k in self._ops[i]:
+            y[t] += k * v[q]
+
+    def _ring_negative(self, y, i):
+        deg = self._deg
+        v = tuple(y[i * deg:(i + 1) * deg])
+        hit = self._signs.get(v)
+        if hit is None:
+            hit = self._signs[v] = any(v) and self._sign(v) < 0
+        return hit
+
+    def _sign(self, v):
+        """v(c) up to a positive factor, for v ≠ 0, by bisecting c's bracket.
+
+        With mid the midpoint of a bracket of width h, |c − mid| < h/2 and
+        |v'| ≤ D = Σ i·|a_i|·2^(i−1) on [−2, 2], so v(c) has the sign of
+        v(mid) once |v(mid)| > D·h/2.
+        """
+        deg, psi, brackets = self._deg, self._psi, self._brackets
+        slope = sum(i * abs(a) << (i - 1) for i, a in enumerate(v) if i)
+        for n in count():
+            if n == len(brackets):
+                L, H, k = brackets[-1]
+                brackets.append((2 * L, L + H, k + 1) if _at(psi, L + H, k + 1) > 0
+                                else (L + H, 2 * H, k + 1))
+            L, H, k = brackets[n]
+            at = _at(v, L + H, k + 1)
+            if abs(at) > slope * (H - L) << (k + 1) * (deg - 2):
+                return at
 
     def canonical(self, word):
         """ShortLex canonical form of an arbitrary word.
@@ -181,10 +264,11 @@ class _Engine:
         for i in reversed(self._indices(word)):
             self._reflect(y, i)
         negative, gens = self._negative, self.gens
+        ranks = range(len(gens))
         out = []
         while True:
-            for i, v in enumerate(y):
-                if negative(v):
+            for i in ranks:
+                if negative(y, i):
                     break
             else:
                 return tuple(out)
@@ -199,16 +283,6 @@ class _Engine:
             hit = self.canonical(word + (s,))
             memo[(word, s)] = hit
         return hit
-
-    # enumeration state of w: w⁻¹·f0, on which right multiplication by s_k
-    # is the reflection s_k, and equal states mean equal elements
-    def _start(self):
-        return self._f0
-
-    def _right(self, state, k):
-        z = list(state)
-        self._reflect(z, k)
-        return tuple(z)
 
     def lmult(self, s, word):
         return self.canonical((s,) + word)
@@ -237,15 +311,18 @@ class _Engine:
         the ShortLex-ordered previous layer and generators in rank order,
         spells its lex-least reduced word.
         """
-        start = self._start()
-        index = {start: 0}
-        states = [start]
+        # w's state w⁻¹·f0 is reflected by s_k for w·s_k; equal states, equal w
+        reflect = self._reflect
+        index = {self._f0: 0}
+        states = [self._f0]
         words, parent, last, rmul = [()], [-1], [-1], []
         i = 0
         while i < len(words):
             row = []
             for k, s in enumerate(self.gens):
-                state = self._right(states[i], k)
+                z = list(states[i])
+                reflect(z, k)
+                state = tuple(z)
                 j = index.get(state)
                 if j is None:
                     j = len(words)
@@ -274,86 +351,6 @@ class _Engine:
                 return w
 
 
-class _ClosureEngine(_Engine):
-    """Braid-move closure word problem, for labels outside {2,…,6, ∞}.
-
-    Tits rewriting: a word is shortened by scanning its braid-move closure
-    for an adjacent equal pair, and a reduced word is canonicalized as the
-    ShortLex minimum of its closure. Exponential in the worst case.
-    """
-
-    def __init__(self, diagram):
-        self.d = diagram
-        self.gens = diagram.vertices
-        self.rank = {s: i for i, s in enumerate(self.gens)}
-        self._rmult = {}
-
-    # braid moves: replace an alternating (s,t,...) run of length m(s,t)
-    # by the (t,s,...) run; these preserve length and generate all reduced
-    # expressions of an element.
-    def _moves(self, word):
-        d = self.d
-        n = len(word)
-        for i in range(n - 1):
-            s, t = word[i], word[i + 1]
-            if s == t:
-                continue
-            m = d.label(s, t)
-            if m == INFINITY or i + m > n:
-                continue
-            run = word[i:i + m]
-            ok = all(run[j] == (s if j % 2 == 0 else t) for j in range(m))
-            if ok:
-                rep = tuple(t if j % 2 == 0 else s for j in range(m))
-                yield word[:i] + rep + word[i + m:]
-
-    def _closure(self, word):
-        seen = {word}
-        frontier = [word]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for v in self._moves(w):
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return seen
-
-    def canonical(self, word):
-        self._indices(word)
-        out = ()
-        for s in word:
-            out = self.rmult(out, s)
-        return out
-
-    def rmult(self, word, s):
-        memo = self._rmult
-        hit = memo.get((word, s))
-        if hit is not None:
-            return hit
-        candidate = word + (s,)
-        closure = self._closure(candidate)
-        result = None
-        for w in closure:
-            for i in range(len(w) - 1):
-                if w[i] == w[i + 1]:
-                    result = self.canonical(w[:i] + w[i + 2:])
-                    break
-            if result is not None:
-                break
-        if result is None:
-            result = min(closure, key=self.key)
-        memo[(word, s)] = result
-        return result
-
-    def _start(self):
-        return ()
-
-    def _right(self, state, k):
-        return self.rmult(state, self.gens[k])
-
-
 # Diagrams whose engine (and, in `garside`, whose table) stays cached; the
 # least recently used is dropped beyond this, and rebuilt on demand with the
 # same ShortLex indices.
@@ -362,8 +359,7 @@ CACHED_DIAGRAMS = 16
 
 @lru_cache(maxsize=CACHED_DIAGRAMS)
 def engine(d):
-    geometric = all(m in _CARTAN for _, _, m in d.edges)
-    return (_Engine if geometric else _ClosureEngine)(d)
+    return _Engine(d)
 
 
 # -- public operations -------------------------------------------------------
@@ -414,9 +410,7 @@ def gate_projection(x, T, side="right"):
         raise ValueError("side must be 'right' or 'left'")
     eng = engine(x.group)
     T = frozenset(T)
-    for s in T:
-        if s not in eng.rank:
-            raise UnknownGenerator(f"{s!r} is not a generator")
+    eng._indices(T)
     w = x.word
     stripped = []
     while True:
@@ -435,8 +429,11 @@ def gate_projection(x, T, side="right"):
 
 
 def coset_elements(g, T, side="right"):
-    """Materialize the coset g*W_T (or W_T*g) in a spherical group."""
+    """Materialize the coset g*W_T (or W_T*g); W_T must be finite."""
     eng = engine(g.group)
+    eng._indices(T)
+    if not is_spherical(g.group.induced(T)):
+        raise NotSpherical(f"W_T is infinite for T = {sorted(T, key=eng.rank.get)}")
     seen = {g.word}
     frontier = [g.word]
     while frontier:

@@ -339,6 +339,29 @@ def model_H3(names):
     return CoxModel(gens, mul, e, names)
 
 
+def model_F4(names):
+    """Type F(4) for the path labeled (3, 4, 3): the reflections of R^4 in the
+    simple roots e2 − e3, e3 − e4, e4 and (e1 − e2 − e3 − e4)/2, as rational
+    4×4 matrices."""
+    assert len(names) == 4
+    h = Fraction(1, 2)
+    roots = [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)]
+
+    def reflection(r):
+        # x -> x - 2(x·r)/(r·r) r
+        rr = sum(x * x for x in r)
+        return tuple(tuple(Fraction(int(i == j)) - 2 * r[i] * r[j] / rr
+                           for j in range(4)) for i in range(4))
+
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
+                           for j in range(4)) for i in range(4))
+
+    e = tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))
+    gens = {s: reflection(r) for s, r in zip(names, roots)}
+    return CoxModel(gens, mul, e, names)
+
+
 def model_product(m1, m2):
     """Direct product of two CoxModels; generator names must not collide."""
     assert not set(m1.gens) & set(m2.gens)
@@ -426,6 +449,26 @@ def braid_closure(word, mgraph, cap=2_000_000):
                         raise RuntimeError("braid closure cap exceeded")
         frontier = nxt
     return seen
+
+
+def tits_reduce(word, mgraph, cap=2_000_000):
+    """Tits' solution of the word problem: a reduced word for `word`.
+
+    Deletes an adjacent equal pair found anywhere in the braid-move closure
+    (both directions, commutations included) until no closure word has one.
+    Returns the reduced word and its closure, which holds every reduced word
+    of the same element.
+    """
+    word = tuple(word)
+    while True:
+        closure = braid_closure(word, mgraph, cap)
+        for w in closure:
+            pair = next((i for i in range(len(w) - 1) if w[i] == w[i + 1]), None)
+            if pair is not None:
+                word = w[:pair] + w[pair + 2:]
+                break
+        else:
+            return word, closure
 
 
 def diagram_mgraph(names, edges):

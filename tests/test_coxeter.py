@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -229,6 +230,16 @@ def test_coset_elements():
     assert nf(A3, "") in elems and nf(A3, "ab") in elems
 
 
+def test_coset_elements_needs_a_finite_parabolic():
+    # W_T = affine Ã2 is infinite; its rank-2 parabolics are not
+    g = nf(AFF_TRIANGLE, "c")
+    with pytest.raises(NotSpherical):
+        cx.coset_elements(g, {"a", "b", "c"})
+    assert len(cx.coset_elements(g, {"a", "b"})) == 6
+    with pytest.raises(UnknownGenerator):
+        cx.coset_elements(nf(A3, "b"), {"a", "z"})
+
+
 def test_pair_gate_identical_cosets():
     g = nf(A3, "c")
     X, Y, pairs = cx.pair_gate(A3, {"a"}, g, {"a"}, g)
@@ -324,18 +335,44 @@ def test_rank4_length_profiles_from_degrees():
         assert cx.longest_element(d).length == sum(k - 1 for k in degrees)
 
 
-def test_closure_engine_on_i2_7_matches_oracle():
-    d = dy.diagram("ab", [("a", "b", 7)])
-    model = oracles.model_I2(7, "ab")
-    assert isinstance(cx.engine(d), cx._ClosureEngine)
+@pytest.mark.parametrize("m", range(7, 13))
+def test_ring_engine_on_i2_matches_oracle(m):
+    d = dy.diagram("ab", [("a", "b", m)])
+    model = oracles.model_I2(m, "ab")
+    # one engine class; m outside {3, 4, 6} puts the coordinates in
+    # Z[2cos(2π/m)], of degree φ(m)/2
+    eng = cx.engine(d)
+    assert type(eng) is cx._Engine
+    assert eng._deg == sum(math.gcd(k, m) == 1 for k in range(m)) // 2
     elems = cx.enumerate_group(d, 100)
     assert [x.word for x in elems] == sorted(
         (model.word[x] for x in model.elements),
         key=lambda wd: (len(wd), wd))
-    rng = random.Random(77)
+    rng = random.Random(77 + m)
     for _ in range(120):
         word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 16)))
         assert nf(d, word).word == model.word[model.prod(tuple(word))]
+
+
+@pytest.mark.parametrize("m,surd", [(5, (-1, 5, 2)), (8, (0, 2, 1)),
+                                    (10, (1, 5, 2)), (12, (0, 3, 1))])
+def test_ring_sign_against_quadratic_surds(m, surd):
+    # c = 2cos(2π/m) = (p + √D)/q, so a + b·c has the sign of x + b·√D with
+    # x = q·a + b·p, decided by comparing x² with D·b²; values next to zero
+    # come from the best rational approximations a/b of c
+    p, D, q = surd
+    eng = cx.engine(dy.diagram("ab", [("a", "b", m)]))
+    c = 2 * math.cos(2 * math.pi / m)
+    rng = random.Random(m)
+    values = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(300)]
+    for bound in (3, 10, 100, 10**4, 10**6):
+        near = Fraction(c).limit_denominator(bound)
+        values += [(near.numerator, -near.denominator),
+                   (-near.numerator, near.denominator)]
+    for a, b in values:
+        x = q * a + b * p
+        negative = (x < 0 if x * x > D * b * b else b < 0)
+        assert (eng._sign((a, b)) < 0) == negative, (a, b)
 
 
 def _cycle_diagrams():
@@ -352,8 +389,10 @@ def _cycle_diagrams():
 def test_geometric_engine_on_cycle_diagrams():
     diagrams = _cycle_diagrams()
     assert len(diagrams) >= 5
-    # and one cycle with an infinite label, which the corpus lacks
+    # and cycles with an infinite label and with labels 7 and 5, which the
+    # corpus lacks; the latter puts the coordinates in Z[2cos(2π/35)]
     diagrams.append(dy.cycle_diagram("abc", [3, dy.INFINITY, 4]))
+    diagrams.append(dy.cycle_diagram("abcd", [3, 7, 4, 5]))
     rng = random.Random(4321)
     for d in diagrams:
         gens = d.vertices
@@ -378,3 +417,25 @@ def test_geometric_engine_on_cycle_diagrams():
                 xs = cx.multiply(x, nf(d, s))
                 assert abs(xs.length - x.length) == 1
                 assert cx.multiply(xs, nf(d, s)) == x
+
+
+TITS_DIAGRAMS = {
+    "path_7_3": dy.path_diagram("abc", [7, 3]),
+    "triangle_3_3_7": dy.cycle_diagram("abc", [3, 3, 7]),
+    **{name: dy.parse_diagram((CORPUS / f"{name}.dyn").read_text())
+       for name in ("cyc_3435", "cyc_3533", "cyc_3535")},
+}
+
+
+@pytest.mark.parametrize("name", TITS_DIAGRAMS)
+def test_ring_engine_agrees_with_tits_rewriting(name):
+    # hyperbolic (2,3,7) and (3,3,7) groups, and the corpus cycles whose
+    # label 5 has the entries (−φ², −1)
+    d = TITS_DIAGRAMS[name]
+    mgraph = oracles.diagram_mgraph(d.vertices, list(d.edges))
+    rng = random.Random(name)
+    for _ in range(30):
+        word = tuple(rng.choice(d.vertices) for _ in range(rng.randint(0, 12)))
+        x = nf(d, word)
+        reduced, closure = oracles.tits_reduce(word, mgraph)
+        assert len(x.word) == len(reduced) and x.word in closure, word

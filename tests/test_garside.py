@@ -423,7 +423,7 @@ def test_table_and_engine_caches_are_bounded():
 
 def test_table_matches_word_multiplication():
     # the generator-level arrays against word multiplication, and the greedy
-    # meets against the divisor definition, on an integer and a Z[φ] diagram
+    # meets against the divisor definition, on an integer and a Z[c] diagram
     for d in (B3, dy.path_diagram("abc", [5, 3])):
         t = ga.table(d)
         eng = t.eng
@@ -518,6 +518,35 @@ def test_rank4_against_garside_oracle(d, make):
             ls = oga.multiply(l, oga.inverse(piece))
             if ls[0] >= 0:
                 assert not (left_divides(ox, ls) and left_divides(oy, ls))
+
+
+def _table_against_model(t, model):
+    """The table's words, rmul, inv, w0, tau and length against a model."""
+    elem = [model.prod(wd) for wd in t.words]
+    index = {x: i for i, x in enumerate(elem)}
+    assert len(index) == t.n == len(model.elements)
+    assert t.words == sorted((model.word[x] for x in model.elements),
+                             key=lambda wd: (len(wd), wd))
+    assert elem[t.w0i] == model.w0
+    for u, x in enumerate(elem):
+        for i, s in enumerate(t.d.vertices):
+            assert t.rmul[u][i] == index[model.mul(x, model.gens[s])]
+        assert t.inv[u] == index[model.inv(x)]
+        assert elem[t.tau[u]] == model.mul(model.mul(model.w0, x), model.w0)
+        assert t.length[u] == model.length[x]
+
+
+@pytest.mark.parametrize("m", [7, 9])
+def test_large_label_tables_against_product_model(m):
+    # I2(m)×A3: labels of 7 and more on the Z[2cos(2π/m)] engine
+    d = dy.diagram("abcde", [("a", "b", m), ("c", "d", 3), ("d", "e", 3)])
+    _table_against_model(ga.table(d), oracles.model_product(
+        oracles.model_I2(m, "ab"), oracles.model_A(3, "cde")))
+
+
+def test_f4_table_against_reflection_model():
+    # the integer engine at its largest rank-4 table with a label 4
+    _table_against_model(ga.table(F4), oracles.model_F4(F4.vertices))
 
 
 H4_TEXT = "vertices a b c d\nedge a b 5\nedge b c 3\nedge c d 3\n"
