@@ -15,12 +15,13 @@ Every gcd and lcm is then a fraction (Dehornoy et al., Foundations of
 Garside Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ in coprime form,
 x ∧ y = x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
 
-The hot paths (the left-weighting step of `normalize`, and the tail fold
-and division step of `coset_key`) read flat tables of pairs of simples,
-keyed by u·|W| + v, plus one row per parabolic for the cut by Δ_X. No
-entry is computed when the table is built: each is filled on its first
-lookup, so time and memory follow the pairs a computation actually meets
-rather than |W|².
+Every normal form comes out of `_sweep`, which appends a simple to a normal
+form by one right-to-left sweep of left-weightings (the domino rule). Its
+left-weighting step, and the tail fold and division step of `coset_key`,
+read flat tables of pairs of simples, keyed by u·|W| + v, plus one row per
+parabolic for the cut by Δ_X. No entry is computed when the table is built:
+each is filled on its first lookup, so time and memory follow the pairs a
+computation actually meets rather than |W|².
 
 Conventions: inf(x) = delta_power, sup(x) = delta_power + number of factors,
 size(x) = |delta_power| + number of factors (the canonical size used for
@@ -159,46 +160,48 @@ class GarsideTable:
 
     # -- normal form over raw (delta_power, factor index tuple) ----------
 
-    def normalize(self, d, fs):
-        fs = [f for f in fs if f != 0]
+    def _sweep(self, fs, gs):
+        """Append each simple of gs to the left-weighted list fs, in place:
+        pairs are left-weighted from the right up to the first normal one (the
+        domino rule). Only the first step can leave an identity, at the end,
+        as a left-weighted (f, g) with g ≠ 1 never has f·g simple."""
         n, lw = self.n, self._left_weight
-        passes = 0
-        limit = (len(fs) + 2) ** 2
-        changed = True
-        while changed:
-            changed = False
-            passes += 1
-            if passes > limit:
-                raise InvariantViolated("normalization failed to stabilize")
-            for i in range(len(fs) - 1):
-                k = fs[i] * n + fs[i + 1]
+        for g in gs:
+            i = len(fs)
+            fs.append(g)
+            while i:
+                k = fs[i - 1] * n + fs[i]
                 try:
                     step = lw[k]
                 except KeyError:
-                    step = lw[k] = self._left_weighted(fs[i], fs[i + 1])
-                if step:
-                    fs[i], fs[i + 1] = step
-                    changed = True
-            fs = [f for f in fs if f != 0]
-        while fs and fs[0] == self.w0i:
-            # leading factor is already to the left of the others, so the
-            # absorbed delta does not twist the remainder
-            d += 1
-            fs = fs[1:]
-        return d, tuple(fs)
+                    step = lw[k] = self._left_weighted(fs[i - 1], fs[i])
+                if not step:
+                    break
+                fs[i - 1], fs[i] = step
+                i -= 1
+            if fs[-1] == 0:
+                fs.pop()
+        return fs
+
+    def _absorb(self, d, fs):
+        """Δ^d·fs, fs left-weighted: its Δ factors, all in front, join d untwisted."""
+        k = fs.count(self.w0i)
+        return d + k, tuple(fs[k:])
+
+    def normalize(self, d, fs):
+        """Normal form of Δ^d·f1⋯fl for any simples: each swept into an empty list."""
+        return self._absorb(d, self._sweep([], fs))
 
     def raw_multiply(self, a, b):
+        """Δ^d1·F1·Δ^d2·F2 = Δ^(d1+d2)·τ^d2(F1)·F2: F2 swept into τ^d2(F1)."""
         d1, f1 = a
         d2, f2 = b
-        if d2 % 2:
-            f1 = tuple(self.tau[f] for f in f1)
-        return self.normalize(d1 + d2, f1 + f2)
+        fs = [self.tau[f] for f in f1] if d2 % 2 else list(f1)
+        return self._absorb(d1 + d2, self._sweep(fs, f2))
 
     def raw_inverse(self, a):
         """(Δ^d·f1⋯fl)⁻¹ = Δ^−(d+l)·τ^(d+l)(∂fl)⋯τ^(d+1)(∂f1), ∂f = `rcomp`[f].
-
-        The complements come out left-weighted; `normalize` checks it in one pass.
-        """
+        The complements come out left-weighted: each sweep stops at once."""
         d, fs = a
         e = d + len(fs)
         comps = (self.rcomp, self.lcomp)
@@ -208,10 +211,8 @@ class GarsideTable:
     def raw_rev(self, a):
         """Word reversal, the anti-automorphism with rev(x·y) = rev(y)·rev(x)."""
         d, fs = a
-        flip = [self.inv[f] for f in reversed(fs)]
-        if d % 2:
-            flip = [self.tau[f] for f in flip]
-        return self.normalize(d, flip)
+        twist = self.tau if d % 2 else range(self.n)  # τ^d as a lookup
+        return self.normalize(d, [twist[self.inv[f]] for f in reversed(fs)])
 
     def raw_np(self, a):
         """(neg, pos) with a = neg⁻¹·pos and neg ∧ pos = 1.
@@ -238,7 +239,7 @@ class GarsideTable:
         of the shifted coset (Godelle, J. Algebra 2007). The Δ power is moved
         out of the way first: Δ^d·x = τ^d(x)·Δ^d, and Δ^d·A_X = Δ^e·m·A_X
         for the minimal representative Δ^e·m of Δ^d·A_X, cached per (X, d).
-        What is left, τ^(d+e)(x)·m, goes through `_strip` and one `normalize`.
+        What is left, τ^(d+e)(x)·m, goes through `_strip` and then `_sweep`.
         """
         d, fs = a
         d += 2 * shift
@@ -249,11 +250,7 @@ class GarsideTable:
             e, m = self._strip(d, [], X)
             rep = self._delta_cosets[(X, d)] = (e, tuple(m))
         e, m = rep
-        if (d + e) % 2:
-            tau = self.tau
-            seq = [tau[f] for f in fs]
-        else:
-            seq = list(fs)
+        seq = [self.tau[f] for f in fs] if (d + e) % 2 else list(fs)
         seq.extend(m)
         return self.normalize(*self._strip(e, seq, X))
 
@@ -315,10 +312,14 @@ class GarsideTable:
     # -- entries of the flat tables --------------------------------------
 
     def _left_weighted(self, u, v):
-        if u == 0 or v == 0 or self.is_normal(u, v):
+        if self.is_normal(u, v):
             return ()
         c = self.meet_l(self.rcomp[u], v)
-        return self.product(u, c), self.product(self.inv[c], v)
+        a, b = self.product(u, c), self.product(self.inv[c], v)
+        ln = self.length
+        if not self.is_normal(a, b) or ln[a] + ln[b] != ln[u] + ln[v]:
+            raise InvariantViolated("left-weighting gave a non-normal pair")
+        return a, b
 
     def _simple_tail(self, u, v):
         return self.product(self.meet_r(u, self.lcomp[v]), v)
@@ -430,16 +431,17 @@ def from_letters(d, letters):
     t = table(d)
     if isinstance(letters, str):
         letters = [(s, 1) for s in letters if not s.isspace()]
-    raw = (0, ())
+    # x = Δ^k·τ^k(fs): s goes in as τ^k(s), s⁻¹ = Δ⁻¹·∂̃s as τ^(k−1)(∂̃s)
+    gen, tau, lcomp, k, fs = t.gen, t.tau, t.lcomp, 0, []
     for (s, sign) in letters:
-        if s not in t.gen:
+        if s not in gen:
             raise UnknownGenerator(f"{s!r} is not a generator")
-        g = t.gen[s]
-        if sign > 0:
-            raw = t.raw_multiply(raw, (0, (g,)))
-        else:
-            raw = t.raw_multiply(raw, (-1, (t.lcomp[g],)))
-    return _wrap(t, raw)
+        g = gen[s]
+        if sign <= 0:
+            k -= 1
+            g = lcomp[g]
+        t._sweep(fs, (tau[g] if k % 2 else g,))
+    return _wrap(t, t._absorb(k, [tau[f] for f in fs] if k % 2 else fs))
 
 
 def _common_table(x, y):
@@ -653,12 +655,12 @@ def ribbon_decompose(g, X, depth=6):
     key0 = (t.coset_key(start, X, shift), X)
     seen = {key0}
     queue = [(start, X, [])]
-    for _ in range(depth):
+    for level in range(depth + 1):
         nxt = []
         for raw, Y, path in queue:
             if t.coset_key(raw, Y, shift) == t.coset_key((0, ()), Y, shift):
                 return _ribbon_reconstruct(t, g, X, raw, Y, path)
-            for tg in d.vertices:
+            for tg in d.vertices if level < depth else ():
                 if tg in Y or not is_spherical(d.induced(Y | {tg})):
                     continue
                 r, Yprev = elementary_conjugator(d, Y, tg)
@@ -669,9 +671,6 @@ def ribbon_decompose(g, X, depth=6):
                 seen.add(key)
                 nxt.append((raw2, Yprev, path + [(r, Y, Yprev)]))
         queue = nxt
-    for raw, Y, path in queue:
-        if t.coset_key(raw, Y, shift) == t.coset_key((0, ()), Y, shift):
-            return _ribbon_reconstruct(t, g, X, raw, Y, path)
     return None
 
 

@@ -660,6 +660,99 @@ class GarsideOracle:
         return self.normalize(*out)
 
 
+# -- the fixpoint normal form over a GarsideTable -----------------------------
+
+
+class FixpointGarside:
+    """Garside arithmetic over a `garside.GarsideTable`'s arrays, normalized
+    by whole left-to-right passes of local left-weightings until no pass
+    changes anything: the package's normal form before its one-sweep product.
+
+    A reference for the sweep. Raw forms are (delta_power, factor indices);
+    each operation is the package's former formula over this `normalize`,
+    whose left-weightings come from the table's meets and products, never
+    from its lazily filled flat table.
+    """
+
+    def __init__(self, t):
+        self.t = t
+
+    def normalize(self, d, fs):
+        t = self.t
+        fs = [f for f in fs if f != 0]
+        passes, limit = 0, (len(fs) + 2) ** 2
+        changed = True
+        while changed:
+            changed = False
+            passes += 1
+            assert passes <= limit, "normalization failed to stabilize"
+            for i in range(len(fs) - 1):
+                u, v = fs[i], fs[i + 1]
+                if u and v and not t.is_normal(u, v):
+                    c = t.meet_l(t.rcomp[u], v)
+                    fs[i], fs[i + 1] = t.product(u, c), t.product(t.inv[c], v)
+                    changed = True
+            fs = [f for f in fs if f != 0]
+        while fs and fs[0] == t.w0i:
+            d += 1
+            fs = fs[1:]
+        return d, tuple(fs)
+
+    def multiply(self, a, b):
+        (d1, f1), (d2, f2) = a, b
+        if d2 % 2:
+            f1 = tuple(self.t.tau[f] for f in f1)
+        return self.normalize(d1 + d2, f1 + f2)
+
+    def from_letters(self, letters):
+        """Left fold of s as (0, (s,)) and s⁻¹ as (−1, (Δ·s⁻¹,))."""
+        t, raw = self.t, (0, ())
+        for s, sign in letters:
+            g = t.gen[s]
+            raw = self.multiply(raw, (0, (g,)) if sign > 0 else (-1, (t.lcomp[g],)))
+        return raw
+
+    def inverse(self, a):
+        d, fs = a
+        e = d + len(fs)
+        comps = (self.t.rcomp, self.t.lcomp)
+        return self.normalize(
+            -e, [comps[(e - i) % 2][f] for i, f in enumerate(reversed(fs))])
+
+    def rev(self, a):
+        d, fs = a
+        flip = [self.t.inv[f] for f in reversed(fs)]
+        if d % 2:
+            flip = [self.t.tau[f] for f in flip]
+        return self.normalize(d, flip)
+
+    def np(self, a):
+        d, fs = a
+        if d >= 0:
+            return (0, ()), a
+        return self.inverse((d, fs[:-d])), (0, fs[-d:])
+
+    def pn(self, a):
+        neg, pos = self.np(self.rev(a))
+        return self.rev(neg), self.rev(pos)
+
+    def left_gcd(self, x, y):
+        a, _ = self.np(self.multiply(self.inverse(x), y))
+        return self.multiply(x, self.inverse(a))
+
+    def left_lcm(self, x, y):
+        _, u = self.pn(self.multiply(self.inverse(x), y))
+        return self.multiply(x, u)
+
+    def coset_key(self, a, X, shift):
+        t = self.t
+        d, fs = a
+        d += 2 * shift
+        e, m = t._strip(d, [], X)
+        seq = [t.tau[f] for f in fs] if (d + e) % 2 else list(fs)
+        return self.normalize(*t._strip(e, seq + m, X))
+
+
 # -- colored graph isomorphism -------------------------------------------------
 
 

@@ -1,7 +1,9 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -257,6 +259,127 @@ def test_closed_form_inverse(d):
         raw = ga._raw(t, g)
         inv = t.raw_inverse(raw)
         assert t.raw_multiply(raw, inv) == t.raw_multiply(inv, raw) == (0, ())
+
+
+@lru_cache(maxsize=None)
+def f4_model():
+    return oracles.model_F4(F4.vertices)
+
+
+# the one-sweep product against the fixpoint normal form it replaced, and
+# against brute-force models on the first few items. τ is the identity on
+# B3, H3, F4 and H4, so A3 and E6 stand in for the twists
+SWEEP_CASES = [
+    (B3, 200, lambda: oracles.model_B(3, "abc"), 40),
+    (H3, 200, None, 0),
+    (F4, 60, f4_model, 4),
+    (H4, 60, None, 0),
+    (A3, 200, lambda: oracles.model_A(3, "abc"), 40),
+    (E6, 30, None, 0),
+]
+
+
+@pytest.mark.parametrize("d,items,make,checked", SWEEP_CASES,
+                         ids=["B3", "H3", "F4", "H4", "A3", "E6"])
+def test_sweep_against_fixpoint_reference(d, items, make, checked):
+    t = ga.table(d)
+    ref = oracles.FixpointGarside(t)
+    gens = d.vertices
+    subsets = [frozenset(c) for r in range(len(gens) + 1)
+               for c in itertools.combinations(gens, r)]
+    rng = random.Random(len(gens) * 1000 + t.n)
+    model = make() if make else None
+    oga = oracles.GarsideOracle(model) if model else None
+
+    def raw(g):
+        return ga._raw(t, g)
+
+    def to_oracle(r):
+        return r[0], tuple(model.prod(t.words[f]) for f in r[1])
+
+    def signed(k):
+        return [(rng.choice(gens), rng.choice((1, -1))) for _ in range(k)]
+
+    def factor_text(f):
+        # a reduced word of f, often not its ShortLex word
+        return "".join(reversed(t.words[t.inv[f]]))
+
+    for i in range(items):
+        w1, w2 = signed(rng.randint(0, 12)), signed(rng.randint(0, 12))
+        p1, p2 = ([(s, 1) for s, _ in signed(rng.randint(0, 10))]
+                  for _ in range(2))
+        x, y, p, q = (fl(d, w) for w in (w1, w2, p1, p2))
+        rx, ry, rp, rq = (raw(g) for g in (x, y, p, q))
+        assert rx == ref.from_letters(w1) and rp == ref.from_letters(p1)
+        assert raw(ga.multiply(x, y)) == ref.multiply(rx, ry)
+        assert raw(ga.inverse(x)) == ref.inverse(rx)
+        assert raw(ga.left_gcd(p, q)) == ref.left_gcd(rp, rq)
+        assert raw(ga.left_lcm(p, q)) == ref.left_lcm(rp, rq)
+        for side, want in (("np", ref.np(rx)), ("pn", ref.pn(rx))):
+            f = ga.np_form(x, side)
+            assert (raw(f.neg), raw(f.pos)) == want, side
+        X = rng.choice(subsets)
+        shift = max(0, -rx[0] + 1) // 2 + rng.randint(0, 1)
+        assert t.coset_key(rx, X, shift) == ref.coset_key(rx, X, shift)
+        # unnormalized input: Δ and identity factors anywhere in the middle
+        k = rng.randint(-3, 3)
+        fs = [rng.choice((0, t.w0i, rng.randrange(t.n), rng.randrange(t.n)))
+              for _ in range(rng.randint(0, 7))]
+        text = f"Δ^{k} · " + " | ".join(factor_text(f) for f in fs)
+        parsed = raw(ga.parse_element(d, text))
+        assert parsed == ref.normalize(k, fs), text
+        if i < checked:
+            ox, oy = to_oracle(rx), to_oracle(ry)
+            assert ox == oga.from_signed(w1)
+            assert to_oracle(raw(ga.multiply(x, y))) == oga.multiply(ox, oy)
+            assert to_oracle(raw(ga.inverse(x))) == oga.inverse(ox)
+            assert to_oracle(parsed) == oga.normalize(
+                k, tuple(model.prod(t.words[f]) for f in fs))
+
+
+# from_letters keeps x = Δ^k·τ^k(fs) and untwists once at the end; the left
+# fold multiplies by a generator or its inverse one letter at a time
+@pytest.mark.parametrize("d", [A2, A3, B3, H3, F4, E6],
+                         ids=["A2", "A3", "B3", "H3", "F4", "E6"])
+def test_from_letters_twisted_frame_is_the_left_fold(d):
+    gens = d.vertices
+    one = {(s, 1): ga.generator(d, s) for s in gens}
+    one.update({(s, -1): ga.inverse(one[(s, 1)]) for s in gens})
+    rng = random.Random(len(gens) + 7)
+
+    def fold(letters):
+        x = ga.identity(d)
+        for letter in letters:
+            x = ga.multiply(x, one[letter])
+        return x
+
+    def signed(k):
+        return [(rng.choice(gens), rng.choice((1, -1))) for _ in range(k)]
+
+    words = [[(s, 1) for s in "abab"], [(s, 1) for s in "ababab"],
+             [(s, -1) for s in "abab"]]
+    # all negative: the Δ power steps down on every letter
+    words += [[(rng.choice(gens), -1) for _ in range(k)] for k in range(1, 16)]
+    # long runs of one inverse letter, so the parity of k flips many times
+    for _ in range(10):
+        w = []
+        for _ in range(rng.randint(1, 4)):
+            w += signed(rng.randint(0, 3))
+            w += [(rng.choice(gens), -1)] * rng.randint(4, 11)
+        words.append(w)
+    # words that cancel to the identity
+    cancelling = []
+    for _ in range(10):
+        w = signed(rng.randint(1, 10))
+        cancelling.append(w + [(s, -e) for s, e in reversed(w)])
+        cancelling.append([(s, -e) for s, e in reversed(w)] + w)
+    for w in words + cancelling + [signed(rng.randint(0, 14)) for _ in range(30)]:
+        assert fl(d, w) == fold(w), w
+    for w in cancelling:
+        assert fl(d, w).is_identity(), w
+    # abab = Δ·b: the third letter absorbs a whole factor into Δ
+    x = fl(A2, "abab")
+    assert (x.delta_power, [str_simple(s) for s in x.factors]) == (1, ["b"])
 
 
 def test_simples_carry_their_index_outside_equality():
@@ -546,7 +669,7 @@ def test_large_label_tables_against_product_model(m):
 
 def test_f4_table_against_reflection_model():
     # the integer engine at its largest rank-4 table with a label 4
-    _table_against_model(ga.table(F4), oracles.model_F4(F4.vertices))
+    _table_against_model(ga.table(F4), f4_model())
 
 
 H4_TEXT = "vertices a b c d\nedge a b 5\nedge b c 3\nedge c d 3\n"
@@ -575,11 +698,11 @@ t._divide.update({c * t.n + g: (g, c)
                   for c in range(t.n) for g in range(t.n)})
 t.coset_key((0, (t.gen["a"],)), frozenset("ab"), 0)
 """,
-    "normalization failed to stabilize": """
-a, b = t.gen["a"], t.gen["b"]
-t._left_weight[a * t.n + b] = (b, a)
-t._left_weight[b * t.n + a] = (a, b)
-t.normalize(0, (a, b))
+    # the complement of a in Δ claims to be the identity, so left-weighting
+    # the non-normal pair (a, b) moves nothing and hands it back unchanged
+    "left-weighting gave a non-normal pair": """
+t.rcomp[t.gen["a"]] = 0
+ga.from_letters(d, "ab")
 """,
     "apartment section must be injective": """
 from artinkit import complexes
