@@ -5,6 +5,10 @@ missing fillers or midpoints only downgrade to UNRESOLVED, because the
 witnessing cosets may have arbitrarily deep chambers. COUNTEREXAMPLE is
 reserved for local axiom violations among inner vertices, where the margin
 rule guarantees the relevant structure is fully enumerated.
+
+A filler or middle is adjacent to every corner, so it is searched among the
+corners' common neighbours only: the chosen one is the least by (witness
+size, vertex id) among those of an allowed type.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 from . import dynkin
 from .errors import InvariantViolated, NotAdmissible, NotATree
@@ -181,9 +186,15 @@ def find_induced_4cycles(ball, max_cycles=DEFAULT_MAX_CYCLES):
 # -- labeled 4-wheel -----------------------------------------------------------
 
 
-def _filler_order(ball):
-    return sorted((v.id for v in ball.vertices),
-                  key=lambda v: (ball.vertex(v).witness.size, v))
+def _filler(ball, corners, allowed):
+    """The least common neighbour of the corners, by (witness size, id),
+    whose type is in `allowed`; None if there is none. No corner is its own
+    neighbour, so no corner is ever chosen."""
+    common = set(ball.neighbors(corners[0]))
+    for v in corners[1:]:
+        common.intersection_update(ball.neighbors(v))
+    return min((z for z in common if ball.vertex(z).type in allowed),
+               key=lambda z: (ball.vertex(z).witness.size, z), default=None)
 
 
 def check_labeled_4wheel(ball, tree=None, max_cycles=DEFAULT_MAX_CYCLES):
@@ -194,20 +205,12 @@ def check_labeled_4wheel(ball, tree=None, max_cycles=DEFAULT_MAX_CYCLES):
     if not tree.is_tree():
         raise NotATree("the labeled 4-wheel condition is read over a tree")
     scan = find_induced_4cycles(ball, max_cycles)
-    order = _filler_order(ball)
     filled = []
     unfilled = []
     for cyc in scan.cycles:
         types = {ball.vertex(v).type for v in cyc}
         allowed = set(dynkin.smallest_subtree(tree, types).vertices)
-        common = set(ball.neighbors(cyc[0]))
-        for v in cyc[1:]:
-            common &= set(ball.neighbors(v))
-        hit = None
-        for z in order:
-            if z in common and ball.vertex(z).type in allowed:
-                hit = z
-                break
+        hit = _filler(ball, cyc, allowed)
         if hit is None:
             unfilled.append(cyc)
         else:
@@ -305,8 +308,7 @@ def linear_order(ball, orientation, sample_cap=4000):
     for y in inner:
         for x in down.get(y, ()):
             for z in up.get(y, ()):
-                adjacent = z in set(ball.neighbors(x))
-                if adjacent and (x, z) not in pairs:
+                if ball.has_edge(x, z) and (x, z) not in pairs:
                     problems.append(("transitivity", x, y, z))
     # gradedness on rank gaps of 2: a midpoint exists below the margin
     gap_pairs = [(x, y) for (x, y) in sorted(pairs)
@@ -357,26 +359,10 @@ def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
     for x, y in pairs:
         lower.setdefault(y, set()).add(x)
     ys = sorted(lower)
-    bowties = []
-    truncated = False
-    for ai in range(len(ys)):
-        if truncated:
-            break
-        for bi in range(ai + 1, len(ys)):
-            if truncated:
-                break
-            y1, y2 = ys[ai], ys[bi]
-            common = sorted(lower[y1] & lower[y2])
-            for ci in range(len(common)):
-                if truncated:
-                    break
-                for di in range(ci + 1, len(common)):
-                    bowties.append((common[ci], common[di], y1, y2))
-                    if len(bowties) >= max_bowties:
-                        truncated = True
-                        break
-    scan_order = _filler_order(ball)
-    nbr = {v.id: set(ball.neighbors(v.id)) for v in ball.vertices}
+    quads = ((x1, x2, y1, y2) for y1, y2 in combinations(ys, 2)
+             for x1, x2 in combinations(sorted(lower[y1] & lower[y2]), 2))
+    bowties = list(islice(quads, max_bowties))
+    truncated = len(bowties) >= max_bowties
     resolved = []
     unresolved = []
     nontrivial = 0
@@ -398,16 +384,7 @@ def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
         nontrivial += 1
         lo = max(rank[ball.vertex(x).type] for x in (x1, x2))
         hi = min(rank[ball.vertex(y).type] for y in (y1, y2))
-        hit = None
-        for z in scan_order:
-            tz = ball.vertex(z).type
-            if z in quad or tz not in rank:
-                continue
-            if not lo < rank[tz] < hi:
-                continue
-            if all(v in nbr[z] for v in quad):
-                hit = z
-                break
+        hit = _filler(ball, quad, order.orientation[lo + 1:hi])
         if hit is None:
             unresolved.append(quad)
         else:
@@ -447,7 +424,7 @@ def wheel_fillers_from_bowties(ball, orientation, bowtie_verdict):
         if z in quad:
             continue
         # the bowtie is a 4-cycle exactly when its diagonals are absent
-        if x2 in set(ball.neighbors(x1)) or y2 in set(ball.neighbors(y1)):
+        if ball.has_edge(x1, x2) or ball.has_edge(y1, y2):
             continue
         lo = rank[ball.vertex(x1).type]
         hi = rank[ball.vertex(y1).type]

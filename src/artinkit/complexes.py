@@ -10,9 +10,10 @@ and, per type, those whose last factor w has no right descent in X(s).
 Any other chamber reads its vertex off the chamber with w replaced by the
 minimal representative of w·W_X: its parent or an earlier sibling. A ball
 is built in one pass over this chamber stream, each chamber claiming its
-vertices and edges as it comes. No finite ball is complete, so every
-downstream verdict about a ball is one-sided: inner-marked vertices are the
-ones whose local structure the enumeration is known to cover.
+vertices and edges as it comes; the vertex rows of all chambers are kept
+in one flat list of ints. No finite ball is complete, so every downstream
+verdict about a ball is one-sided: inner-marked vertices are the ones
+whose local structure the enumeration is known to cover.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, combinations
 
 from . import dynkin
@@ -80,15 +82,11 @@ class ComplexBall:
         return self._adj[vid]
 
     def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self._edge_set
+        return j in self._adj[i]  # a scan of i's neighbours: no edge set
 
-    @property
+    @cached_property
     def _edge_set(self):
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            self._edge_set_cache = cached
-        return cached
+        return frozenset(self.edges)
 
     def edge_witness(self, i, j):
         """The first enumerated chamber on both vertices of the edge."""
@@ -320,7 +318,8 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
     """
     minima = [t.enumeration.coset_minima(X) for X in parabolics]
     key = t.coset_key
-    rows = []  # per chamber ordinal, its row
+    n = len(parabolics)
+    rows = []  # flat: chamber c's vertex for parabolics[i] at c·n + i
     kids = {}  # last factor -> ordinal among the current parent's children
     for c, (raw, parent) in enumerate(_walk(t, eff)):
         w = 0  # the identity: its own minimal representative
@@ -333,7 +332,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
         for i, rep in enumerate(minima):
             m = rep[w]
             if m != w:
-                row.append(rows[kids[m]][i])
+                row.append(rows[kids[m] * n + i])
                 continue
             k = key(raw, parabolics[i], shift)
             vid = by_key[i].get(k)
@@ -341,7 +340,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
                 vid = by_key[i][k] = len(witness_of)
                 witness_of.append((i, raw))
             row.append(vid)
-        rows.append(row)
+        rows += row
         yield raw, row
 
 

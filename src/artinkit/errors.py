@@ -43,11 +43,14 @@ class UnknownGenerator(ArtinKitError):
 
 
 class CapExceeded(ArtinKitError):
-    """Enumeration exceeded the caller-supplied cap."""
+    """Enumeration exceeded the caller-supplied cap. `needed` is the size
+    that would suffice, when it is known."""
 
-    def __init__(self, cap):
-        super().__init__(f"enumeration exceeded cap {cap}")
+    def __init__(self, cap, needed=None):
+        super().__init__(f"enumeration exceeded cap {cap}" if needed is None
+                         else f"enumeration needs {needed:,} > {cap:,} elements")
         self.cap = cap
+        self.needed = needed
 
 
 class NotSpherical(ArtinKitError):

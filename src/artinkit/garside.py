@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import factorial, prod
 
 from . import coxeter as cx
-from .dynkin import DynkinDiagram, is_spherical
+from .dynkin import DynkinDiagram, classify, is_spherical
 from .errors import (
+    CapExceeded,
     GroupMismatch,
     InvariantViolated,
     NotPositive,
@@ -49,8 +51,21 @@ from .errors import (
 
 # Largest Coxeter group given a Garside table. Every array of the table has
 # O(|W|·rank) entries, so the cap covers H(4) (|W| = 14,400) and E(6)
-# (|W| = 51,840), and stops the enumeration of E(7) and larger.
+# (|W| = 51,840); E(7) and larger are refused before any enumeration.
 MAX_TABLE = 60_000
+
+# |W| of a connected spherical type, by the family and rank of its
+# `classify` name
+_ORDER = {"A": lambda n: factorial(n + 1), "B": lambda n: 2 ** n * factorial(n),
+          "D": lambda n: 2 ** (n - 1) * factorial(n), "I2": lambda m: 2 * m,
+          "E": {6: 51_840, 7: 2_903_040, 8: 696_729_600}.get,
+          "F": {4: 1_152}.get, "H": {3: 120, 4: 14_400}.get}
+
+
+def _group_order(d):
+    """|W| of a spherical diagram: the product over its components."""
+    names = (classify(d.induced(c)).name[:-1].split("(") for c in d.components())
+    return prod(_ORDER[family](int(n)) for family, n in names)
 
 
 class GarsideTable:
@@ -64,6 +79,9 @@ class GarsideTable:
     def __init__(self, d):
         if not is_spherical(d):
             raise NotSpherical(f"not a spherical diagram: {d.vertices}")
+        needed = _group_order(d)
+        if needed > MAX_TABLE:
+            raise CapExceeded(MAX_TABLE, needed)
         self.d = d
         self.eng = eng = cx.engine(d)
         # kept for the coset-minima rows of balls, complexes and apartments

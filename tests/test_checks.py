@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -265,3 +266,143 @@ def test_verdict_json_shape_and_determinism():
     assert v.to_json_str() == again.to_json_str()
     text = v.render()
     assert text.startswith("bowtie: VERIFIED")
+
+
+# -- fillers against the all-vertex scan ------------------------------------------
+
+
+B3 = path("abc", [4, 3])
+H3 = path("abc", [5, 3])
+D4 = dynkin.DynkinDiagram(("c", "a", "b", "d"),
+                          (("c", "a", 3), ("c", "b", 3), ("c", "d", 3)))
+
+
+def _filler_order(b):
+    return sorted((v.id for v in b.vertices),
+                  key=lambda v: (b.vertex(v).witness.size, v))
+
+
+def _scan_filler(b, order, corners, allowed):
+    """The reference: the first vertex of the whole ball, in (size, id)
+    order, of an allowed type and adjacent to every corner."""
+    for z in order:
+        if z in corners or b.vertex(z).type not in allowed:
+            continue
+        if all(b.has_edge(z, c) for c in corners):
+            return z
+    return None
+
+
+def _folded_a3(bound):
+    q = dynkin.quotient_folding(A3, [("a", "c")])
+    return cpx.build_folded_ball(q, ["a+c", "b"], bound)
+
+
+def _with_rival_fillers(b):
+    """b with the least and the greatest b-type vertex, by (size, id), joined
+    to the corners of its first induced 4-cycle. In the other cases every
+    filler and middle is the only candidate, so only here does the choice
+    among several candidates show."""
+    key = {v.id: (v.witness.size, v.id) for v in b.vertices}
+    cyc = ck.find_induced_4cycles(b).cycles[0]
+    bs = sorted((v.id for v in b.vertices if v.type == "b"), key=key.get)
+    rivals = [z for z in (bs[0], bs[-1]) if not all(b.has_edge(z, c) for c in cyc)]
+    extra = {(min(z, c), max(z, c)) for z in rivals for c in cyc}
+    return cpx.ComplexBall(
+        ambient=b.ambient, types=b.types, type_parabolic=b.type_parabolic,
+        bound=b.bound, effective_bound=b.effective_bound, margin=b.margin,
+        chamber_count=b.chamber_count, vertices=b.vertices,
+        edges=sorted(set(b.edges) | extra), inner=b.inner, edge_witness={},
+        keys={}, shift=None)
+
+
+# name -> (ball, orientation). Margin 1 where the default margin leaves
+# nothing to fill: on H3 within 30,000 chambers (effective bound 2) and on D4
+# at bound 2 only the base chamber's vertices are inner. The folded ball has
+# girth 6, so it has no bowties and no cycles: its searches must not happen.
+FILLER_CASES = {
+    "A3 rivals": lambda: (_with_rival_fillers(ball(A3, "abc", 4)), "abc"),
+    "A3": lambda: (ball(A3, "abc", 5), "abc"),
+    "B3": lambda: (ball(B3, "abc", 5), "abc"),
+    "H3": lambda: (ball(H3, "abc", 5, margin=1), "abc"),
+    "A3 a+c": lambda: (_folded_a3(5), ("a+c", "b")),
+    "D4": lambda: (ball(D4, "abcd", 2, margin=1), "acb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILLER_CASES))
+def test_fillers_match_the_all_vertex_scan(name, monkeypatch):
+    b, orientation = FILLER_CASES[name]()
+    orientation = list(orientation)
+    order = _filler_order(b)
+    searches = []
+    search = ck._filler
+
+    def recorded(b_, corners, allowed):
+        hit = search(b_, corners, allowed)
+        searches.append((tuple(corners), tuple(allowed), hit))
+        return hit
+
+    def candidates(corners, allowed):
+        return sum(1 for z in b.vertices if z.type in allowed
+                   and all(b.has_edge(z.id, c) for c in corners))
+
+    monkeypatch.setattr(ck, "_filler", recorded)
+    bow = ck.check_bowtie_free(b, orientation)
+    wheel = ck.check_labeled_4wheel(b)
+    capped = [
+        ck.check_bowtie_free(b, orientation,
+                             max_bowties=max(1, bow.parameter("bowties") // 2)),
+        ck.check_labeled_4wheel(b,
+                                max_cycles=max(1, wheel.parameter("cycles") // 2)),
+    ]
+    assert bool(searches) == (name != "A3 a+c")
+    for corners, allowed, hit in searches:
+        assert hit == _scan_filler(b, order, corners, allowed), name
+    if name == "A3 rivals":
+        assert max(candidates(c, a) for c, a, _ in searches) == 3
+    # the verdicts themselves carry the reference choice
+    rank = {s: i for i, s in enumerate(orientation)}
+    for quad, z in bow.witnesses if bow.status == ck.VERIFIED else ():
+        if z in quad:
+            continue  # a corner below or above its pair already
+        lo = max(rank[b.vertex(x).type] for x in quad[:2])
+        hi = min(rank[b.vertex(y).type] for y in quad[2:])
+        assert z == _scan_filler(b, order, quad, orientation[lo + 1:hi]), name
+    tree = b.type_diagram
+    for cyc, z in wheel.witnesses if wheel.status == ck.VERIFIED else ():
+        types = {b.vertex(v).type for v in cyc}
+        allowed = dynkin.smallest_subtree(tree, types).vertices
+        assert z == _scan_filler(b, order, cyc, allowed), name
+    assert all(v.truncated for v in capped) == bool(searches), name
+
+
+# -- pinned verdicts on the reference B3 ball -------------------------------------
+
+
+# sha256 of `to_json_str()` on the B3 bound-5 ball with max_chambers=160,000
+# (157,045 chambers, the benchmark's ball)
+VERDICT_SHA256 = {
+    "bowtie": "2e0c894bf04795a5c2de915ea1fe3a249dbbee23c3e39a2695ee83e5377bf9bd",
+    "4wheel": "75fb3ae4fd75ec029ab32d7a0f4aebd6083bcd067404839bf5af1678d20e99bc",
+    "order": "daf80f689315be97d9249b12cbc941d791f083fc7731215a3c9f5a845fe7888c",
+}
+
+
+@pytest.fixture(scope="module")
+def reference_b3():
+    return ball(B3, "abc", 5, max_chambers=160_000)
+
+
+@pytest.mark.parametrize("check", sorted(VERDICT_SHA256))
+def test_reference_ball_verdict_bytes(reference_b3, check):
+    b = reference_b3
+    verdict = {
+        "bowtie": lambda: ck.check_bowtie_free(b, ["a", "b", "c"]),
+        "4wheel": lambda: ck.check_labeled_4wheel(b),
+        "order": lambda: ck.linear_order(b, ["a", "b", "c"]).verdict,
+    }[check]()
+    assert b.chamber_count == 157_045
+    assert verdict.status == ck.VERIFIED
+    digest = hashlib.sha256(verdict.to_json_str().encode("utf-8")).hexdigest()
+    assert digest == VERDICT_SHA256[check]

@@ -145,6 +145,16 @@ def test_ball_json_and_dot(dyn):
     assert r2.stdout.startswith("graph ball {")
 
 
+def test_table_cap_exit5_names_the_group_order(dyn):
+    p = dyn("e7.dyn", "vertices a b c d e f g\n"
+                      "edge a b 3; edge b c 3; edge c d 3; edge d e 3\n"
+                      "edge e f 3; edge c g 3\n")
+    r = run("word", p, "a")
+    assert r.returncode == 5
+    assert "2,903,040 > 60,000" in r.stderr
+    assert r.stdout == ""
+
+
 def test_ball_cap_exit5(dyn):
     p = dyn("I24.dyn", I24)
     r = run("ball", p, "--bound", "8", "--max-chambers", "5")

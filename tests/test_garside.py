@@ -529,6 +529,34 @@ def test_table_cap():
         ga.table(dy.cycle_diagram("abc", [3, 3, 3]))
 
 
+def test_table_cap_names_the_group_order(monkeypatch):
+    # |W| is read off the component classes before anything is enumerated
+    e7 = dy.diagram("abcdefg", [("a", "b", 3), ("b", "c", 3), ("c", "d", 3),
+                                ("d", "e", 3), ("e", "f", 3), ("c", "g", 3)])
+    calls = []
+    monkeypatch.setattr(cx, "engine", lambda d: calls.append(d))
+    with pytest.raises(CapExceeded) as exc:
+        ga.GarsideTable(e7)
+    assert calls == []
+    assert exc.value.needed == 2_903_040 and exc.value.cap == ga.MAX_TABLE
+    assert "2,903,040 > 60,000" in str(exc.value)
+
+
+def test_group_order_matches_the_enumeration():
+    diagrams = [
+        dy.path_diagram("a", []), dy.path_diagram("abcde", [3, 3, 3, 3]),
+        dy.path_diagram("abcd", [3, 3, 4]), dy.path_diagram("ab", [4]),
+        dy.path_diagram("abcd", [3, 4, 3]), dy.path_diagram("abc", [5, 3]),
+        dy.path_diagram("ab", [7]),
+        dy.diagram("abcde", [("a", "b", 3), ("b", "c", 3), ("b", "d", 3),
+                             ("d", "e", 3)]),
+        dy.diagram("abcdef", [("a", "b", 9), ("c", "d", 3), ("e", "f", 4)]),
+        dy.diagram("abc", []),
+    ]
+    for d in diagrams:
+        assert ga._group_order(d) == ga.table(d).n
+
+
 def test_table_and_engine_caches_are_bounded():
     # one diagram more than the bound: the least recently used is dropped,
     # and its rebuilt table has the same ShortLex indices
