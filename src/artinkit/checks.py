@@ -207,10 +207,12 @@ def check_labeled_4wheel(ball, tree=None, max_cycles=DEFAULT_MAX_CYCLES):
     scan = find_induced_4cycles(ball, max_cycles)
     filled = []
     unfilled = []
+    subtrees = {}  # a cycle's type set -> the types allowed to fill it
     for cyc in scan.cycles:
-        types = {ball.vertex(v).type for v in cyc}
-        allowed = set(dynkin.smallest_subtree(tree, types).vertices)
-        hit = _filler(ball, cyc, allowed)
+        types = frozenset(ball.vertex(v).type for v in cyc)
+        if types not in subtrees:
+            subtrees[types] = set(dynkin.smallest_subtree(tree, types).vertices)
+        hit = _filler(ball, cyc, subtrees[types])
         if hit is None:
             unfilled.append(cyc)
         else:
@@ -286,14 +288,10 @@ def linear_order(ball, orientation, sample_cap=4000):
                    if ball.vertex(v).type in rank)
     innerset = set(inner)
     pairs = set()
-    for i, j in ball.edges:
-        if i in innerset and j in innerset:
-            ri = rank[ball.vertex(i).type]
-            rj = rank[ball.vertex(j).type]
-            if ri < rj:
-                pairs.add((i, j))
-            elif rj < ri:
-                pairs.add((j, i))
+    for i in inner:  # each edge from its end of lower rank
+        ri = rank[ball.vertex(i).type]
+        pairs.update((i, j) for j in ball.neighbors(i) if j in innerset
+                     and rank[ball.vertex(j).type] > ri)
     problems = []
     up = {}
     down = {}

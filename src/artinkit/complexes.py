@@ -11,18 +11,26 @@ Any other chamber reads its vertex off the chamber with w replaced by the
 minimal representative of w·W_X: its parent or an earlier sibling. A ball
 is built in one pass over this chamber stream, each chamber claiming its
 vertices and edges as it comes; the vertex rows of all chambers are kept
-in one flat list of ints. No finite ball is complete, so every downstream
-verdict about a ball is one-sided: inner-marked vertices are the ones
-whose local structure the enumeration is known to cover.
+in one flat list of ints. By the same argument with Y = X_i ∩ X_j, only a
+chamber whose w is minimal in w·W_Y can be the first on an {i, j} edge, so
+only those look it up. A ball keeps the ordinal of each edge's first
+chamber, and each chamber's parent ordinal and last factor, to rebuild
+edge witnesses; coset keys are packed into bytes. No finite ball is
+complete, so every downstream verdict about a ball is one-sided:
+inner-marked vertices are the ones whose local structure the enumeration
+is known to cover.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 from . import dynkin
 from . import garside as ga
@@ -58,22 +66,24 @@ class ComplexBall:
         self.ambient = ambient
         self.type_diagram = type_diagram if type_diagram is not None else ambient
         self.types = tuple(types)
-        self.type_parabolic = dict(type_parabolic)
+        self.type_parabolic = type_parabolic
         self.bound = bound
         self.effective_bound = effective_bound
         self.margin = margin
         self.chamber_count = chamber_count
         self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
+        self.edges = edges = tuple(edges)
         self.inner = frozenset(inner)
-        self._edge_witness = dict(edge_witness)  # edge -> raw chamber
-        self._keys = dict(keys)  # (type, coset key) -> vertex id
+        self._edge_witness = edge_witness  # a dict, or see `_assemble`
+        self._keys = keys  # type -> {packed coset key: vertex id}
         self._shift = shift
-        adj = {v.id: [] for v in self.vertices}  # lists: far smaller than sets
-        for i, j in self.edges:
+        adj = [[] for _ in self.vertices]  # lists: far smaller than sets
+        for i, j in edges:
             adj[i].append(j)
             adj[j].append(i)
-        self._adj = {v: tuple(sorted(set(nbrs))) for v, nbrs in adj.items()}
+        # sorted unique edges (i < j) list every neighbourhood in order
+        ordered = all(map(operator.lt, edges, edges[1:])) and all(i < j for i, j in edges)
+        self._adj = [tuple(a) if ordered else tuple(sorted(set(a))) for a in adj]
 
     def vertex(self, vid):
         return self.vertices[vid]
@@ -90,7 +100,19 @@ class ComplexBall:
 
     def edge_witness(self, i, j):
         """The first enumerated chamber on both vertices of the edge."""
-        raw = self._edge_witness[(min(i, j), max(i, j))]
+        e = (min(i, j), max(i, j))
+        if isinstance(self._edge_witness, dict):
+            raw = self._edge_witness[e]
+        else:  # follow the parent links up from the edge's chamber
+            ordinals, parent, last = self._edge_witness
+            k = bisect_left(self.edges, e)
+            if self.edges[k:k + 1] != (e,):
+                raise KeyError(e)
+            c, fs = ordinals[k], []
+            while parent[c] >= 0:
+                fs.append(last[c])
+                c = parent[c]
+            raw = (last[c], tuple(reversed(fs)))
         return ga._wrap(ga.table(self.ambient), raw)
 
     def locate(self, g, type_name):
@@ -100,17 +122,16 @@ class ComplexBall:
         t = ga.table(self.ambient)
         if not self._keys:
             # balls rebuilt from JSON carry no keys: derive them once
-            self._keys = {
-                (v.type, t.coset_key(ga._raw(t, v.witness),
-                                     self.type_parabolic[v.type],
-                                     self._shift)): v.id
-                for v in self.vertices
-            }
+            self._keys = {s: {} for s in self.type_parabolic}
+            for v in self.vertices:
+                key = t.coset_key(ga._raw(t, v.witness),
+                                  self.type_parabolic[v.type], self._shift)
+                self._keys[v.type][_packed(key)] = v.id
         raw = ga._raw(t, g)
         if raw[0] + 2 * self._shift < 0:
             return None
         key = t.coset_key(raw, self.type_parabolic[type_name], self._shift)
-        return self._keys.get((type_name, key))
+        return self._keys[type_name].get(_packed(key))
 
     # -- exports ----------------------------------------------------------
 
@@ -127,23 +148,26 @@ class ComplexBall:
 
     def to_json_str(self):
         """`to_json` with sorted keys and a 2-space indent, written directly:
-        given an indent, `json.dumps` runs its pure-Python encoder."""
-        def block(items):
-            return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+        given an indent, `json.dumps` runs its pure-Python encoder. Lines are
+        joined a few thousand at a time, and the chunks once at the end."""
+        out = [f'{{\n  "bound": {self.bound},\n  "edges": ']
+
+        def block(lines, after):
+            sep = "[\n"
+            for chunk in iter(lambda: ",\n".join(islice(lines, 4096)), ""):
+                out.extend((sep, chunk))
+                sep = ",\n"
+            out.extend(("[]" if sep == "[\n" else "\n  ]", after))
 
         # one encoder for every string: json.dumps would build one per call
         enc = json.JSONEncoder(ensure_ascii=False).encode
-
-        # each block is joined before the next is listed: one list at a time
-        edges = block([f"    [\n      {i},\n      {j}\n    ]" for (i, j) in self.edges])
-        inner = block([f"    {i}" for i in sorted(self.inner)])
-        vertices = block([
-            f'    {{\n      "id": {v.id},\n      "type": {enc(v.type)},\n'
-            f'      "witness": {enc(ga.serialize(v.witness))}\n    }}'
-            for v in self.vertices
-        ])
-        return (f'{{\n  "bound": {self.bound},\n  "edges": {edges},\n'
-                f'  "inner": {inner},\n  "vertices": {vertices}\n}}')
+        block((f"    [\n      {i},\n      {j}\n    ]" for (i, j) in self.edges),
+              ',\n  "inner": ')
+        block((f"    {i}" for i in sorted(self.inner)), ',\n  "vertices": ')
+        block((f'    {{\n      "id": {v.id},\n      "type": {enc(v.type)},\n'
+               f'      "witness": {enc(ga.serialize(v.witness))}\n    }}'
+               for v in self.vertices), "\n}")
+        return "".join(out)
 
     def to_dot(self):
         color = {
@@ -259,7 +283,8 @@ def _walk(t, eff):
             for p, seq in enumerate(seqs, first):
                 for w in follows[seq[-1]] if seq else proper:
                     fs = seq + (w,)
-                    here.append(fs)
+                    if r < eff:  # nothing reads the last layer's list
+                        here.append(fs)
                     yield (d, fs), p
                     n += 1
         prev = layer
@@ -305,11 +330,16 @@ def build_folded_ball(folding, types, bound, *, margin=None,
                      folding.target)
 
 
-def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
+def _packed(key):
+    """A coset key (d ≥ 0, factors) as bytes, injective: indices are < 2^16."""
+    return array("H", (key[0], *key[1])).tobytes()
+
+
+def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents):
     """Yield (raw, row) for each chamber of the stream, where row[i] is the
     chamber's vertex for parabolics[i]. Vertices are numbered as first met:
-    by_key[i] maps coset keys to vertices and witness_of[v] = (i, first
-    chamber on v).
+    by_key[i] maps packed coset keys to vertices and witness_of[v] = (i,
+    first chamber on v). parents gets each chamber's parent ordinal.
 
     The X-vertex of (d, f1⋯fk) is that of (d, f1⋯fk−1·w^X) for w = fk, since
     w = w^X·w_X with w_X in A_X⁺: the parent when w^X = 1, otherwise an
@@ -322,6 +352,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
     rows = []  # flat: chamber c's vertex for parabolics[i] at c·n + i
     kids = {}  # last factor -> ordinal among the current parent's children
     for c, (raw, parent) in enumerate(_walk(t, eff)):
+        parents.append(parent)
         w = 0  # the identity: its own minimal representative
         if parent >= 0:
             if kids.get(0) != parent:
@@ -334,7 +365,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of):
             if m != w:
                 row.append(rows[kids[m] * n + i])
                 continue
-            k = key(raw, parabolics[i], shift)
+            k = _packed(key(raw, parabolics[i], shift))
             vid = by_key[i].get(k)
             if vid is None:
                 vid = by_key[i][k] = len(witness_of)
@@ -349,7 +380,10 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
     """Build the ball in one pass over the chamber stream: each chamber
     claims the edges between its vertices that no earlier chamber has, by
     first-met vertex ids in type order; the ids are then sorted into their
-    deterministic order and the edges remapped once."""
+    deterministic order and the edges remapped once (Y-minimal chambers
+    only, see the module docstring). edge_witness is (first chamber ordinal
+    per sorted edge, parent ordinal and last factor per chamber, the Δ power
+    for a chamber with no factors)."""
     t = ga.table(d)
     eff = effective_bound(t, bound, max_chambers)
     if margin is None:
@@ -358,12 +392,19 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
     parabolics = [type_parabolic[s] for s in types]
     by_key = [{} for _ in parabolics]
     witness_of = []
-    claimed = {}  # edge between first-met ids -> raw first chamber on both
-    stream = _vertex_rows(t, eff, parabolics, shift, by_key, witness_of)
-    for chamber_count, (raw, row) in enumerate(stream, 1):
-        for e in combinations(row, 2):  # in type order
-            if e not in claimed:
-                claimed[e] = raw
+    parents, last = array("q"), array("q")
+    pairs = [(i, j, t.enumeration.coset_minima(parabolics[i] & parabolics[j]))
+             for i, j in combinations(range(len(types)), 2)]
+    claimed = {}  # edge between first-met ids -> ordinal of its first chamber
+    stream = _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents)
+    for c, ((delta, fs), row) in enumerate(stream):
+        w = fs[-1] if fs else 0
+        last.append(w if fs else delta)
+        for i, j, rep in pairs:
+            if rep[w] == w:
+                e = (row[i], row[j])
+                if e not in claimed:
+                    claimed[e] = c
 
     # deterministic ids: sort by (type position, witness size, witness text)
     def sort_key(v):
@@ -380,23 +421,24 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
             id=new, type=types[i], witness=ga._wrap(t, raw)))
 
     # new ids grow with the type position, so each edge stays increasing
-    edges = {(newid[a], newid[b]): raw for (a, b), raw in claimed.items()}
+    firsts = sorted(claimed, key=lambda e: newid[e[0]] * len(newid) + newid[e[1]])
+    ordinals = array("q", map(claimed.get, firsts))
     del claimed
-    edge_list = sorted(edges)
+    edges = tuple((newid[a], newid[b]) for a, b in firsts)
+    del firsts  # freed before the neighbour lists are built: a lower peak
 
     inner = frozenset(
         v.id for v in vertices if v.witness.size <= eff - margin
     )
-    remapped_keys = {
-        (s, key): newid[vid]
-        for s, keyed in zip(types, by_key) for key, vid in keyed.items()
-    }
+    for keyed in by_key:
+        for key, vid in keyed.items():
+            keyed[key] = newid[vid]
     return ComplexBall(
         ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
-        effective_bound=eff, margin=margin, chamber_count=chamber_count,
-        vertices=vertices, edges=edge_list, inner=inner,
-        edge_witness=edges, keys=remapped_keys, shift=shift,
-        type_diagram=type_diagram,
+        effective_bound=eff, margin=margin, chamber_count=len(last),
+        vertices=vertices, edges=edges, inner=inner,
+        edge_witness=(ordinals, parents, last), keys=dict(zip(types, by_key)),
+        shift=shift, type_diagram=type_diagram,
     )
 
 

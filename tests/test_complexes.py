@@ -240,8 +240,10 @@ def test_every_chamber_gets_the_vertex_of_its_key(name):
     eff = ball.effective_bound
     parabolics = [ball.type_parabolic[s] for s in ball.types]
     witness_of = []
+    parents = []
     stream = list(cpx._vertex_rows(t, eff, parabolics, (eff + 1) // 2,
-                                   [{} for _ in parabolics], witness_of))
+                                   [{} for _ in parabolics], witness_of,
+                                   parents))
     chambers = [raw for raw, _ in stream]
     assert chambers == list(_chambers(t, eff))
     assert len(chambers) == ball.chamber_count
@@ -275,6 +277,56 @@ def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
                     want.append((raw, X))
         assert calls == want
         assert len(want) < len(types) * ball.chamber_count
+
+
+def _claim_every_pair(ball):
+    """Reference assembly: every chamber looks up every pair of its vertices,
+    an edge keeps the raw first chamber on it, and first-met ids go to their
+    deterministic order (type position, witness size, witness text)."""
+    t = ga.table(ball.ambient)
+    eff = ball.effective_bound
+    parabolics = [ball.type_parabolic[s] for s in ball.types]
+    witness_of = []
+    claimed = {}
+    for raw, row in cpx._vertex_rows(t, eff, parabolics, (eff + 1) // 2,
+                                     [{} for _ in parabolics], witness_of, []):
+        for e in combinations(row, 2):
+            claimed.setdefault(e, raw)
+    order = sorted(range(len(witness_of)), key=lambda v: (
+        witness_of[v][0], abs(witness_of[v][1][0]) + len(witness_of[v][1][1]),
+        ga.serialize_raw(t, witness_of[v][1])))
+    newid = {old: new for new, old in enumerate(order)}
+    vertices = [(ball.types[witness_of[v][0]], witness_of[v][1]) for v in order]
+    edges = {(newid[a], newid[b]): raw for (a, b), raw in claimed.items()}
+    return vertices, edges
+
+
+# name -> (builder, bound); every ball reaches its bound
+EDGE_CASES = {
+    "A3": (cpx.build_ball, A3, "abc", 5),
+    "B3": (cpx.build_ball, B3, "abc", 4),
+    "B3 reversed": (cpx.build_ball, path("cba", [3, 4]), "abc", 4),
+    "H3": (cpx.build_ball, H3, "abc", 3),
+    "D4": (cpx.build_ball, D4, "abcd", 2),
+    "D4 a,d": (cpx.build_ball, D4, "ad", 2),
+    "A3 a+c": (cpx.build_folded_ball, dynkin.quotient_folding(A3, [("a", "c")]),
+               ("a+c", "b"), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_edges_and_witnesses_match_claiming_every_pair(name):
+    build, d, types, bound = EDGE_CASES[name]
+    ball = build(d, types, bound, max_chambers=10 ** 6)
+    assert ball.effective_bound == bound
+    t = ga.table(ball.ambient)
+    vertices, edges = _claim_every_pair(ball)
+    assert [(v.type, ga._raw(t, v.witness)) for v in ball.vertices] == vertices
+    assert ball.edges == tuple(sorted(edges))
+    for (i, j), raw in edges.items():
+        assert ga._raw(t, ball.edge_witness(j, i)) == raw
+    for v in ball.vertices:
+        assert ball.locate(v.witness, v.type) == v.id
 
 
 def test_json_export_matches_json_dumps():
