@@ -39,6 +39,7 @@ from .errors import (
     InvalidFolding,
     InvariantViolated,
     NotSpherical,
+    PreconditionFailed,
     VertexNotInner,
 )
 
@@ -74,7 +75,7 @@ class ComplexBall:
         self.vertices = tuple(vertices)
         self.edges = edges = tuple(edges)
         self.inner = frozenset(inner)
-        self._edge_witness = edge_witness  # a dict, or see `_assemble`
+        self._edge_witness = edge_witness  # see `_assemble`; None if loaded
         self._keys = keys  # type -> {packed coset key: vertex id}
         self._shift = shift
         adj = [[] for _ in self.vertices]  # lists: far smaller than sets
@@ -101,19 +102,20 @@ class ComplexBall:
     def edge_witness(self, i, j):
         """The first enumerated chamber on both vertices of the edge."""
         e = (min(i, j), max(i, j))
-        if isinstance(self._edge_witness, dict):
-            raw = self._edge_witness[e]
-        else:  # follow the parent links up from the edge's chamber
-            ordinals, parent, last = self._edge_witness
-            k = bisect_left(self.edges, e)
-            if self.edges[k:k + 1] != (e,):
-                raise KeyError(e)
-            c, fs = ordinals[k], []
-            while parent[c] >= 0:
-                fs.append(last[c])
-                c = parent[c]
-            raw = (last[c], tuple(reversed(fs)))
-        return ga._wrap(ga.table(self.ambient), raw)
+        if not self._edge_witness:
+            raise PreconditionFailed(
+                f"edge {e}: a ball loaded from JSON carries no edge witnesses")
+        # follow the parent links up from the edge's chamber
+        ordinals, parent, last = self._edge_witness
+        k = bisect_left(self.edges, e)
+        if self.edges[k:k + 1] != (e,):
+            raise KeyError(e)
+        c, fs = ordinals[k], []
+        while parent[c] >= 0:
+            fs.append(last[c])
+            c = parent[c]
+        raw = (last[c], tuple(reversed(fs)))
+        return ga.GarsideElement(self.ambient, raw)
 
     def locate(self, g, type_name):
         """Vertex id of the coset g·A_{X(type)}, or None if not in the ball."""
@@ -124,10 +126,10 @@ class ComplexBall:
             # balls rebuilt from JSON carry no keys: derive them once
             self._keys = {s: {} for s in self.type_parabolic}
             for v in self.vertices:
-                key = t.coset_key(ga._raw(t, v.witness),
+                key = t.coset_key(v.witness.raw,
                                   self.type_parabolic[v.type], self._shift)
                 self._keys[v.type][_packed(key)] = v.id
-        raw = ga._raw(t, g)
+        raw = g.raw
         if raw[0] + 2 * self._shift < 0:
             return None
         key = t.coset_key(raw, self.type_parabolic[type_name], self._shift)
@@ -210,7 +212,7 @@ def ball_from_json(d, blob, type_parabolic=None):
         ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
         effective_bound=eff, margin=None, chamber_count=None,
         vertices=vertices, edges=edges, inner=frozenset(data["inner"]),
-        edge_witness={}, keys={}, shift=(eff + 1) // 2,
+        edge_witness=None, keys={}, shift=(eff + 1) // 2,
     )
 
 
@@ -418,7 +420,7 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
         newid[old] = new
         i, raw = witness_of[old]
         vertices.append(BallVertex(
-            id=new, type=types[i], witness=ga._wrap(t, raw)))
+            id=new, type=types[i], witness=ga.GarsideElement(t.d, raw)))
 
     # new ids grow with the type position, so each edge stays increasing
     firsts = sorted(claimed, key=lambda e: newid[e[0]] * len(newid) + newid[e[1]])
@@ -537,7 +539,7 @@ def apartment_cycle(d, types=None, base=None):
             if vid is None:
                 vid = len(verts)
                 vid_of[key] = vid
-                lift = ga._wrap(t, t.normalize(0, (reps[s][x],)))
+                lift = ga.GarsideElement(t.d, t.normalize(0, (reps[s][x],)))
                 witness = ga.multiply(base, lift)
                 verts.append((s, witness))
             row.append(vid)
@@ -564,7 +566,7 @@ def _distinct_cosets(d, verts):
     decides it, under a shift that makes every witness positive.
     """
     t = ga.table(d)
-    raws = [(s, ga._raw(t, w)) for s, w in verts]
+    raws = [(s, w.raw) for s, w in verts]
     shift = max(0, (1 - min((raw[0] for _, raw in raws), default=0)) // 2)
     allv = frozenset(d.vertices)
     parabolic = {s: allv - {s} for s, _ in raws}

@@ -83,6 +83,13 @@ class DynkinDiagram:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_spherical", None)  # filled by is_spherical
+        object.__setattr__(self, "_hash", None)  # filled by __hash__
+
+    def __hash__(self):
+        """Computed once: every cached table and engine lookup hashes d."""
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+        return self._hash
 
     # -- basic queries ---------------------------------------------------
 

@@ -2,30 +2,26 @@
 
 An element is Δ^k · f_1 ⋯ f_l where the f_i are simples (positive lifts of
 Coxeter group elements), no factor is trivial or Δ, and each consecutive
-pair is left-weighted.  Simples are read from arrays of the finite Coxeter
-group with one row per element and at most one column per generator: left
-and right multiplication by a generator, inverse, descent masks, support,
-τ and the complements in Δ.  A product of simples is ℓ(v) steps of right
-multiplication, and a weak-order meet strips common descents one generator
-at a time.
+pair is left-weighted. A `GarsideElement` keeps this form raw, as k and the
+ShortLex indices of the f_i, and boxes `Simple`s only when `factors` is
+read. Simples index arrays with one row per element of the finite Coxeter
+group: a generator's product on either side, inverse, descent masks,
+support, τ and the complements in Δ.
 
-Inverses and np-forms are read off the left normal form through the
-complements ∂f = f⁻¹·Δ (Epstein et al., Word Processing in Groups, ch. 9).
-Every gcd and lcm is then a fraction (Dehornoy et al., Foundations of
-Garside Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ in coprime form,
-x ∧ y = x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
-
-Every normal form comes out of `_sweep`, which appends a simple to a normal
-form by one right-to-left sweep of left-weightings (the domino rule). Its
-left-weighting step, and the tail fold and division step of `coset_key`,
-read flat tables of pairs of simples, keyed by u·|W| + v, plus one row per
-parabolic for the cut by Δ_X. No entry is computed when the table is built:
-each is filled on its first lookup, so time and memory follow the pairs a
-computation actually meets rather than |W|².
+Normal forms come out of `_sweep`, which appends simples by right-to-left
+sweeps of left-weightings (the domino rule), one sweep per word. Its mirror
+right-weights from the left into the right normal form, off which pn-forms
+are read as np-forms are read off the left one. An inverse is the reversed
+complements ∂f = f⁻¹·Δ, already normal (Epstein et al., Word Processing in
+Groups, ch. 9). Gcd and lcm are fractions (Dehornoy et al., Foundations of
+Garside Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ coprime, x ∧ y =
+x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike. The pair
+steps and `coset_key` read flat tables keyed by u·|W| + v, each entry made
+on its first lookup, so time and memory follow the pairs met, not |W|².
 
 Conventions: inf(x) = delta_power, sup(x) = delta_power + number of factors,
 size(x) = |delta_power| + number of factors (the canonical size used for
-ball enumeration radii).  τ is conjugation by Δ; τ² = id holds in every
+ball enumeration radii). τ is conjugation by Δ; τ² = id holds in every
 spherical type, which the table checks at build time.
 """
 
@@ -73,7 +69,7 @@ class GarsideTable:
 
     Elements of W are integers indexing the ShortLex enumeration; index 0 is
     the identity and w0 comes last. Built once per diagram; afterwards only
-    the lazily filled flat tables and boxed simples change.
+    the lazily filled flat tables change.
     """
 
     def __init__(self, d):
@@ -125,10 +121,10 @@ class GarsideTable:
             [sum(1 << i for i, y in enumerate(row) if length[y] < length[x])
              for x, row in enumerate(rows)] for rows in (lmul, rmul))
         self.proper = range(1, w0)  # neither the identity nor Δ
-        self.simples = [None] * n  # boxed by `simple` on first wrap
         self._w0_parabolic = {}
         # flat tables keyed by u·n + v, filled on first lookup
         self._left_weight = {}  # left-weighted pair for u·v, () if normal
+        self._right_weight = {}  # the mirror: keyed v·n + u for the pair u·v
         self._tail = {}  # maximal simple right-divisor of u·v
         self._divide = {}  # (j·u⁻¹, j·v⁻¹) for j = u ∨_R v
         # X → row of meet_r(x, Δ_X), the largest right-divisor of x in W_X
@@ -178,25 +174,29 @@ class GarsideTable:
 
     # -- normal form over raw (delta_power, factor index tuple) ----------
 
-    def _sweep(self, fs, gs):
+    def _sweep(self, fs, gs, mirror=False):
         """Append each simple of gs to the left-weighted list fs, in place:
         pairs are left-weighted from the right up to the first normal one (the
         domino rule). Only the first step can leave an identity, at the end,
-        as a left-weighted (f, g) with g ≠ 1 never has f·g simple."""
-        n, lw = self.n, self._left_weight
+        as a left-weighted (f, g) with g ≠ 1 never has f·g simple. With
+        `mirror`, it right-weights instead, on lists kept last factor first."""
+        n = self.n
+        lw, weigh = ((self._right_weight, self._right_weighted) if mirror
+                     else (self._left_weight, self._left_weighted))
         for g in gs:
             i = len(fs)
             fs.append(g)
-            while i:
-                k = fs[i - 1] * n + fs[i]
+            while i:  # g is fs[i], the right end of the pair (fs[i - 1], g)
+                i -= 1
+                f = fs[i]
                 try:
-                    step = lw[k]
+                    step = lw[f * n + g]
                 except KeyError:
-                    step = lw[k] = self._left_weighted(fs[i - 1], fs[i])
+                    step = lw[f * n + g] = weigh(f, g)
                 if not step:
                     break
-                fs[i - 1], fs[i] = step
-                i -= 1
+                g, fs[i + 1] = step
+                fs[i] = g
             if fs[-1] == 0:
                 fs.pop()
         return fs
@@ -218,19 +218,12 @@ class GarsideTable:
         return self._absorb(d1 + d2, self._sweep(fs, f2))
 
     def raw_inverse(self, a):
-        """(Δ^d·f1⋯fl)⁻¹ = Δ^−(d+l)·τ^(d+l)(∂fl)⋯τ^(d+1)(∂f1), ∂f = `rcomp`[f].
-        The complements come out left-weighted: each sweep stops at once."""
+        """(Δ^d·f1⋯fl)⁻¹ = Δ^−(d+l)·τ^(d+l)(∂fl)⋯τ^(d+1)(∂f1), ∂f = `rcomp`[f]. For
+        a normal form a, the complements are left-weighted, none 1 or Δ: no sweep."""
         d, fs = a
         e = d + len(fs)
         comps = (self.rcomp, self.lcomp)
-        return self.normalize(
-            -e, [comps[(e - i) % 2][f] for i, f in enumerate(reversed(fs))])
-
-    def raw_rev(self, a):
-        """Word reversal, the anti-automorphism with rev(x·y) = rev(y)·rev(x)."""
-        d, fs = a
-        twist = self.tau if d % 2 else range(self.n)  # τ^d as a lookup
-        return self.normalize(d, [twist[self.inv[f]] for f in reversed(fs)])
+        return -e, tuple([comps[(e - i) % 2][f] for i, f in enumerate(reversed(fs))])
 
     def raw_np(self, a):
         """(neg, pos) with a = neg⁻¹·pos and neg ∧ pos = 1.
@@ -241,13 +234,23 @@ class GarsideTable:
         d, fs = a
         if d >= 0:
             return (0, ()), a
-        k = -d
-        return self.raw_inverse((d, fs[:k])), (0, fs[k:])
+        return self.raw_inverse((d, fs[:-d])), (0, fs[-d:])
+
+    def _pn_pos(self, a):
+        """pos of `raw_pn` as right-weighted factors: g1⋯g_(l−k) of the right
+        normal form g1⋯gl·Δ^−k of a = Δ^−k·f1⋯fl, which the mirror sweep makes
+        of the τ^k(f_i) (Dehornoy et al., ch. III). A positive a is its pos."""
+        d, fs = a
+        if d >= 0:
+            return a
+        gs = self._sweep([], [self.tau[f] for f in reversed(fs)] if d % 2
+                         else fs[::-1], mirror=True)
+        return 0, gs[:-d - 1:-1]  # gs holds gl, …, g1
 
     def raw_pn(self, a):
-        """(neg, pos) with a = pos·neg⁻¹ and neg ∧_R pos = 1: rev ∘ np ∘ rev."""
-        neg, pos = self.raw_np(self.raw_rev(a))
-        return self.raw_rev(neg), self.raw_rev(pos)
+        """(neg, pos) with a = pos·neg⁻¹ and neg ∧_R pos = 1: neg = a⁻¹·pos."""
+        pos = self.normalize(*self._pn_pos(a))
+        return self.raw_multiply(self.raw_inverse(a), pos), pos
 
     def coset_key(self, a, X, shift):
         """Canonical token of the left coset a·A_X, comparable for a fixed shift.
@@ -296,8 +299,8 @@ class GarsideTable:
                     k = beta * n + f
                     try:
                         beta = tail[k]
-                    except KeyError:
-                        beta = tail[k] = self._simple_tail(beta, f)
+                    except KeyError:  # the right factor of the right-weighting
+                        beta = tail[k] = (self._right_weighted(f, beta) or (f,))[0]
             else:
                 break
             c = cut[beta]
@@ -339,18 +342,22 @@ class GarsideTable:
             raise InvariantViolated("left-weighting gave a non-normal pair")
         return a, b
 
-    def _simple_tail(self, u, v):
-        return self.product(self.meet_r(u, self.lcomp[v]), v)
+    def _right_weighted(self, v, u):
+        """Mirror step on u·v, read as (v, u): unless R(u) ⊆ L(v), the largest
+        c ≼_R u with c·v simple, c = u ∧_R `lcomp`[v], moves across."""
+        if not self.rdesc[u] & ~self.ldesc[v]:
+            return ()
+        c = self.meet_r(u, self.lcomp[v])
+        a, b = self.product(u, self.inv[c]), self.product(c, v)
+        ln = self.length
+        if self.rdesc[a] & ~self.ldesc[b] or ln[a] + ln[b] != ln[u] + ln[v]:
+            raise InvariantViolated("right-weighting gave a non-normal pair")
+        return b, a
 
     def _division_step(self, c, g):
         inv = self.inv
         j = self.rcomp[self.meet_l(self.lcomp[c], self.lcomp[g])]
         return self.product(j, inv[c]), self.product(j, inv[g])
-
-    def simple(self, f):
-        """The immutable Simple of index f, made once and shared by every wrap."""
-        s = self.simples[f] = Simple(cx.CoxeterElement(self.d, self.words[f]), f)
-        return s
 
 
 def _meet(u, v, desc, strip, grow):
@@ -380,33 +387,40 @@ class Simple:
     index: int = field(compare=False, repr=False)  # ShortLex index in its table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GarsideElement:
+    """Δ^k·f1⋯fl as raw = (k, ShortLex indices of the f_i in `table(group)`),
+    which equality and hashing read: no rebuild of the table changes them."""
     group: DynkinDiagram
-    delta_power: int
-    factors: tuple  # of Simple
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    raw: tuple
 
     @property
-    def inf(self):
-        return self.delta_power
+    def delta_power(self):
+        return self.raw[0]
+
+    @property
+    def factors(self):
+        """The factors as `Simple`s, boxed when read."""
+        words = table(self.group).words
+        return tuple(Simple(cx.CoxeterElement(self.group, words[f]), f)
+                     for f in self.raw[1])
+
+    inf = delta_power
 
     @property
     def sup(self):
-        return self.delta_power + len(self.factors)
+        return self.raw[0] + len(self.raw[1])
 
     @property
     def size(self):
         """Canonical size: |delta_power| + number of factors."""
-        return abs(self.delta_power) + len(self.factors)
+        return abs(self.raw[0]) + len(self.raw[1])
 
     def is_positive(self):
-        return self.delta_power >= 0
+        return self.raw[0] >= 0
 
     def is_identity(self):
-        return self.delta_power == 0 and not self.factors
+        return self.raw == (0, ())
 
     def __str__(self):
         return serialize(self)
@@ -419,26 +433,15 @@ class NpForm:
     side: str  # "np": g = neg^-1 · pos ; "pn": g = pos · neg^-1
 
 
-def _wrap(t, raw):
-    d, fs = raw
-    simples = t.simples
-    return GarsideElement(t.d, d, tuple(simples[f] or t.simple(f) for f in fs))
-
-
-def _raw(t, g):
-    return (g.delta_power, tuple(s.index for s in g.factors))
-
-
 def identity(d):
-    table(d)
-    return GarsideElement(d, 0, ())
+    return delta(d, 0)
 
 
 def generator(d, s):
     t = table(d)
     if s not in t.gen:
         raise UnknownGenerator(f"{s!r} is not a generator")
-    return _wrap(t, t.normalize(0, (t.gen[s],)))
+    return GarsideElement(t.d, t.normalize(0, (t.gen[s],)))
 
 
 def from_letters(d, letters):
@@ -450,7 +453,7 @@ def from_letters(d, letters):
     if isinstance(letters, str):
         letters = [(s, 1) for s in letters if not s.isspace()]
     # x = Δ^k·τ^k(fs): s goes in as τ^k(s), s⁻¹ = Δ⁻¹·∂̃s as τ^(k−1)(∂̃s)
-    gen, tau, lcomp, k, fs = t.gen, t.tau, t.lcomp, 0, []
+    gen, tau, lcomp, k, gs = t.gen, t.tau, t.lcomp, 0, []
     for (s, sign) in letters:
         if s not in gen:
             raise UnknownGenerator(f"{s!r} is not a generator")
@@ -458,85 +461,88 @@ def from_letters(d, letters):
         if sign <= 0:
             k -= 1
             g = lcomp[g]
-        t._sweep(fs, (tau[g] if k % 2 else g,))
-    return _wrap(t, t._absorb(k, [tau[f] for f in fs] if k % 2 else fs))
+        gs.append(tau[g] if k % 2 else g)
+    fs = t._sweep([], gs)
+    return GarsideElement(t.d, t._absorb(k, [tau[f] for f in fs] if k % 2 else fs))
 
 
 def _common_table(x, y):
-    if x.group != y.group:
+    if x.group is not y.group and x.group != y.group:
         raise GroupMismatch("elements of different groups")
     return table(x.group)
 
 
 def multiply(x, y):
     t = _common_table(x, y)
-    return _wrap(t, t.raw_multiply(_raw(t, x), _raw(t, y)))
+    return GarsideElement(t.d, t.raw_multiply(x.raw, y.raw))
 
 
 def inverse(x):
     t = table(x.group)
-    return _wrap(t, t.raw_inverse(_raw(t, x)))
+    return GarsideElement(t.d, t.raw_inverse(x.raw))
 
 
 def power(x, k):
     t = table(x.group)
     out = (0, ())
-    raw = _raw(t, x) if k >= 0 else t.raw_inverse(_raw(t, x))
+    raw = x.raw if k >= 0 else t.raw_inverse(x.raw)
     for _ in range(abs(k)):
         out = t.raw_multiply(out, raw)
-    return _wrap(t, out)
+    return GarsideElement(t.d, out)
 
 
 def delta(d, k=1):
     table(d)
-    return GarsideElement(d, k, ())
+    return GarsideElement(d, (k, ()))
 
 
 def _positive_raws(x, y, name):
     t = _common_table(x, y)
-    if not (x.is_positive() and y.is_positive()):
+    if x.raw[0] < 0 or y.raw[0] < 0:
         raise NotPositive(f"{name} requires positive elements")
-    return t, _raw(t, x), _raw(t, y)
+    return t, x.raw, y.raw
 
 
 def left_gcd(x, y):
-    """Greatest common left-divisor of positive x, y: x·a⁻¹ for x⁻¹·y = a⁻¹·b."""
+    """Greatest common left-divisor of positive x, y: x·a⁻¹ for x⁻¹·y = a⁻¹·b,
+    where a⁻¹ = Δ^−k·f1⋯f_min(k,l) is a prefix of x⁻¹·y = Δ^−k·f1⋯fl."""
     t, x, y = _positive_raws(x, y, "left_gcd")
-    a, _ = t.raw_np(t.raw_multiply(t.raw_inverse(x), y))
-    return _wrap(t, t.raw_multiply(x, t.raw_inverse(a)))
+    d, fs = t.raw_multiply(t.raw_inverse(x), y)
+    return GarsideElement(t.d, t.raw_multiply(x, (d, fs[:-d])) if d < 0 else x)
 
 
 def left_lcm(x, y):
-    """Least common right-multiple of positive x, y: x·u for x⁻¹·y = u·v⁻¹."""
+    """Least common right-multiple of positive x, y: x·u for x⁻¹·y = u·v⁻¹,
+    with u's right-weighted factors swept into x as they stand."""
     t, x, y = _positive_raws(x, y, "left_lcm")
-    _, u = t.raw_pn(t.raw_multiply(t.raw_inverse(x), y))
-    return _wrap(t, t.raw_multiply(x, u))
+    u = t._pn_pos(t.raw_multiply(t.raw_inverse(x), y))
+    return GarsideElement(t.d, t.raw_multiply(x, u))
 
 
 def right_gcd(x, y):
     """Greatest common right-divisor of positive x, y: u⁻¹·x for x·y⁻¹ = u·v⁻¹."""
     t, x, y = _positive_raws(x, y, "right_gcd")
     _, u = t.raw_pn(t.raw_multiply(x, t.raw_inverse(y)))
-    return _wrap(t, t.raw_multiply(t.raw_inverse(u), x))
+    return GarsideElement(t.d, t.raw_multiply(t.raw_inverse(u), x))
 
 
 def right_lcm(x, y):
     """Least common left-multiple of positive x, y: a·x for x·y⁻¹ = a⁻¹·b."""
     t, x, y = _positive_raws(x, y, "right_lcm")
     a, _ = t.raw_np(t.raw_multiply(x, t.raw_inverse(y)))
-    return _wrap(t, t.raw_multiply(a, x))
+    return GarsideElement(t.d, t.raw_multiply(a, x))
 
 
 def np_form(g, side="np"):
     """Coprime factorization g = neg⁻¹·pos (np) or pos·neg⁻¹ (pn)."""
     t = table(g.group)
     if side == "np":
-        neg, pos = t.raw_np(_raw(t, g))
+        neg, pos = t.raw_np(g.raw)
     elif side == "pn":
-        neg, pos = t.raw_pn(_raw(t, g))
+        neg, pos = t.raw_pn(g.raw)
     else:
         raise ValueError("side must be 'np' or 'pn'")
-    return NpForm(neg=_wrap(t, neg), pos=_wrap(t, pos), side=side)
+    return NpForm(GarsideElement(t.d, neg), GarsideElement(t.d, pos), side)
 
 
 def np_reconstruct(form):
@@ -548,7 +554,7 @@ def np_reconstruct(form):
 def support(g):
     """Generators occurring in either np-half (= letters of any expression)."""
     t = table(g.group)
-    neg, pos = t.raw_np(_raw(t, g))
+    neg, pos = t.raw_np(g.raw)
     mask = t.supp[t.w0i] if neg[0] or pos[0] else 0
     for f in neg[1] + pos[1]:
         mask |= t.supp[f]
@@ -567,7 +573,7 @@ def in_parabolic(g, X):
 def letters_of(g):
     """A signed-letter expression of g from its np-form (not length-minimal)."""
     t = table(g.group)
-    neg, pos = t.raw_np(_raw(t, g))
+    neg, pos = t.raw_np(g.raw)
     out = [(s, -1) for s in reversed(_positive_letters(t, neg))]
     out.extend((s, 1) for s in _positive_letters(t, pos))
     return out
@@ -608,7 +614,7 @@ def delta_of(d, X):
             raise UnknownGenerator(f"{s!r} is not a generator")
     if not is_spherical(d.induced(X)):
         raise NotSpherical(f"parabolic on {sorted(X)} is not spherical")
-    return _wrap(t, t.normalize(0, (t.w0_parabolic(X),)))
+    return GarsideElement(t.d, t.normalize(0, (t.w0_parabolic(X),)))
 
 
 def center_of(d, X):
@@ -616,9 +622,8 @@ def center_of(d, X):
     t = table(d)
     dx = delta_of(d, X)
     w0x = t.w0_parabolic(frozenset(X))
-    central = all(
-        t.product(t.product(w0x, t.gen[s]), w0x) == t.gen[s] for s in X
-    )
+    central = all(t.product(t.product(w0x, t.gen[s]), w0x) == t.gen[s]
+                  for s in X)
     return dx if central else multiply(dx, dx)
 
 
@@ -669,7 +674,7 @@ def ribbon_decompose(g, X, depth=6):
             "g·c_X·g⁻¹ is not the center of any spherical standard parabolic"
         )
     shift = (depth + g.sup + 3) // 2 + 1
-    start = _raw(t, g)
+    start = g.raw
     key0 = (t.coset_key(start, X, shift), X)
     seen = {key0}
     queue = [(start, X, [])]
@@ -682,7 +687,7 @@ def ribbon_decompose(g, X, depth=6):
                 if tg in Y or not is_spherical(d.induced(Y | {tg})):
                     continue
                 r, Yprev = elementary_conjugator(d, Y, tg)
-                raw2 = t.raw_multiply(raw, t.raw_inverse(_raw(t, r)))
+                raw2 = t.raw_multiply(raw, t.raw_inverse(r.raw))
                 key = (t.coset_key(raw2, Yprev, shift), Yprev)
                 if key in seen:
                     continue
@@ -720,20 +725,16 @@ def _recognize_center(d, w):
 
 def serialize(g):
     """Render as `Δ^k · w1 | w2 | ...`; the identity is `Δ^0 ·`."""
-    return _text(g.group, g.delta_power, [s.underlying.word for s in g.factors])
+    return serialize_raw(table(g.group), g.raw)
 
 
 def serialize_raw(t, raw):
     """serialize() of a raw (delta_power, factor indices) form of table t."""
-    return _text(t.d, raw[0], [t.words[f] for f in raw[1]])
-
-
-def _text(d, k, words):
-    head = f"Δ^{k} ·"
-    if not words:
+    head = f"Δ^{raw[0]} ·"
+    if not raw[1]:
         return head
-    sep = " " if _needs_spaces(d) else ""
-    return head + " " + " | ".join(sep.join(w) for w in words)
+    sep = " " if _needs_spaces(t.d) else ""
+    return head + " " + " | ".join(sep.join(t.words[f]) for f in raw[1])
 
 
 def _needs_spaces(d):
@@ -746,8 +747,7 @@ def parse_element(d, text):
     text = text.strip()
     if not text.startswith("Δ^"):
         raise ParseError(1, "element must start with 'Δ^<int>'")
-    rest = text[2:]
-    parts = rest.split("·", 1)
+    parts = text[2:].split("·", 1)
     if len(parts) != 2:
         raise ParseError(1, "missing '·' separator")
     try:
@@ -767,4 +767,4 @@ def parse_element(d, text):
             if len(w) != len(letters):
                 raise ParseError(1, f"factor {chunk!r} is not a reduced word")
             fs.append(t.idx[w])
-    return _wrap(t, t.normalize(k, tuple(fs)))
+    return GarsideElement(t.d, t.normalize(k, fs))

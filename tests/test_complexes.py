@@ -12,6 +12,7 @@ from artinkit.errors import (
     BoundTooLarge,
     InvalidFolding,
     NotSpherical,
+    PreconditionFailed,
     VertexNotInner,
 )
 
@@ -111,7 +112,7 @@ def test_merge_iff_coset_equality_exhaustive():
     # every chamber pair, every type: same vertex <=> h^-1 g in A_{S-{s}}
     b = cpx.build_ball(A2, ["a", "b"], 3)
     t = ga.table(A2)
-    chambers = [ga._wrap(t, raw) for raw in _chambers(t, b.effective_bound)]
+    chambers = [ga.GarsideElement(t.d, raw) for raw in _chambers(t, b.effective_bound)]
     assert len(chambers) == 67
     located = [
         {s: b.locate(g, s) for s in b.types} for g in chambers
@@ -128,7 +129,7 @@ def test_merge_iff_coset_equality_exhaustive():
     for d in (B3, H3):
         b = cpx.build_ball(d, ["a", "b", "c"], 3)
         t = ga.table(d)
-        chambers = [ga._wrap(t, raw)
+        chambers = [ga.GarsideElement(t.d, raw)
                     for raw in _chambers(t, b.effective_bound)]
         assert len(chambers) == b.chamber_count
         for s in b.types:
@@ -157,7 +158,7 @@ def test_edge_witness_is_the_chamber_that_created_the_edge():
     t = ga.table(B3)
     first = {}
     for raw in _chambers(t, b.effective_bound):
-        g = ga._wrap(t, raw)
+        g = ga.GarsideElement(t.d, raw)
         row = [b.locate(g, s) for s in b.types]
         for i, j in combinations(sorted(row), 2):
             first.setdefault((i, j), g)
@@ -179,7 +180,7 @@ def test_witness_is_size_minimal_in_coset():
     b = cpx.build_ball(A2, ["a", "b"], 4)
     t = ga.table(A2)
     for raw in _chambers(t, b.effective_bound):
-        g = ga._wrap(t, raw)
+        g = ga.GarsideElement(t.d, raw)
         for s in b.types:
             v = b.locate(g, s)
             assert b.vertex(v).witness.size <= g.size
@@ -190,7 +191,7 @@ def test_flagness_on_inner_triangles():
     t = ga.table(A3)
     covered = set()
     for raw in _chambers(t, b.effective_bound):
-        g = ga._wrap(t, raw)
+        g = ga.GarsideElement(t.d, raw)
         row = sorted(b.locate(g, s) for s in b.types)
         covered.add(tuple(row))
     tris = []
@@ -248,10 +249,10 @@ def test_every_chamber_gets_the_vertex_of_its_key(name):
     assert chambers == list(_chambers(t, eff))
     assert len(chambers) == ball.chamber_count
     for raw, row in stream:
-        g = ga._wrap(t, raw)
+        g = ga.GarsideElement(t.d, raw)
         for s, v in zip(ball.types, row):
             located = ball.vertex(ball.locate(g, s))
-            assert located.witness == ga._wrap(t, witness_of[v][1])
+            assert located.witness == ga.GarsideElement(t.d, witness_of[v][1])
 
 
 def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
@@ -321,10 +322,10 @@ def test_edges_and_witnesses_match_claiming_every_pair(name):
     assert ball.effective_bound == bound
     t = ga.table(ball.ambient)
     vertices, edges = _claim_every_pair(ball)
-    assert [(v.type, ga._raw(t, v.witness)) for v in ball.vertices] == vertices
+    assert [(v.type, v.witness.raw) for v in ball.vertices] == vertices
     assert ball.edges == tuple(sorted(edges))
     for (i, j), raw in edges.items():
-        assert ga._raw(t, ball.edge_witness(j, i)) == raw
+        assert ball.edge_witness(j, i).raw == raw
     for v in ball.vertices:
         assert ball.locate(v.witness, v.type) == v.id
 
@@ -572,13 +573,13 @@ def test_link_a3_ahat_matches_a2_subball():
     sub_edges = set()
     link_pairs = set()
     for raw in _chambers(t, b.effective_bound):
-        g = ga._wrap(t, raw)
+        g = ga.GarsideElement(t.d, raw)
         if b.locate(g, "a") != va:
             continue
         link_pair = (b.locate(g, "b"), b.locate(g, "c"))
         link_pairs.add(link_pair)
         h = ga.restrict(g, {"b", "c"})
-        raw2 = ga._raw(t2, h)
+        raw2 = h.raw
         row = []
         for s in ("b", "c"):
             X = frozenset({"b", "c"}) - {s}
@@ -669,6 +670,18 @@ def test_locate_after_json_roundtrip():
     assert back.locate(v.witness, v.type) == 3
     for v in b.vertices:
         assert back.locate(v.witness, v.type) == v.id
+
+
+def test_loaded_ball_names_its_missing_edge_witness():
+    # the export carries no witnesses, so a loaded ball cannot answer
+    b = cpx.build_ball(A2, ["a", "b"], 3)
+    back = cpx.ball_from_json(A2, b.to_json_str())
+    i, j = b.edges[0]
+    assert ga.serialize(b.edge_witness(i, j)) == "Δ^0 ·"
+    with pytest.raises(PreconditionFailed,
+                       match=rf"edge \({i}, {j}\): a ball loaded from JSON "
+                             "carries no edge witnesses"):
+        back.edge_witness(j, i)
 
 
 def test_dot_export_mentions_every_vertex_and_edge():

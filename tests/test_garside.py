@@ -256,7 +256,7 @@ def test_closed_form_inverse(d):
     for _ in range(200):
         g = fl(d, [(rng.choice(d.vertices), rng.choice([1, -1]))
                    for _ in range(rng.randint(0, 12))])
-        raw = ga._raw(t, g)
+        raw = g.raw
         inv = t.raw_inverse(raw)
         assert t.raw_multiply(raw, inv) == t.raw_multiply(inv, raw) == (0, ())
 
@@ -292,7 +292,7 @@ def test_sweep_against_fixpoint_reference(d, items, make, checked):
     oga = oracles.GarsideOracle(model) if model else None
 
     def raw(g):
-        return ga._raw(t, g)
+        return g.raw
 
     def to_oracle(r):
         return r[0], tuple(model.prod(t.words[f]) for f in r[1])
@@ -315,6 +315,11 @@ def test_sweep_against_fixpoint_reference(d, items, make, checked):
         assert raw(ga.inverse(x)) == ref.inverse(rx)
         assert raw(ga.left_gcd(p, q)) == ref.left_gcd(rp, rq)
         assert raw(ga.left_lcm(p, q)) == ref.left_lcm(rp, rq)
+        # the right-hand pair reads x·y⁻¹ = u·v⁻¹ = a⁻¹·b, through the mirror
+        # sweep behind `raw_pn`
+        r = ref.multiply(rp, ref.inverse(rq))
+        assert raw(ga.right_gcd(p, q)) == ref.multiply(ref.inverse(ref.pn(r)[1]), rp)
+        assert raw(ga.right_lcm(p, q)) == ref.multiply(ref.np(r)[0], rp)
         for side, want in (("np", ref.np(rx)), ("pn", ref.pn(rx))):
             f = ga.np_form(x, side)
             assert (raw(f.neg), raw(f.pos)) == want, side
@@ -385,11 +390,29 @@ def test_from_letters_twisted_frame_is_the_left_fold(d):
 def test_simples_carry_their_index_outside_equality():
     t = ga.table(B3)
     g = fl(B3, "abcbacb")
-    assert ga._raw(t, g) == (g.delta_power,
-                             tuple(t.idx[s.underlying.word] for s in g.factors))
+    assert g.raw == (g.delta_power,
+                     tuple(t.idx[s.underlying.word] for s in g.factors))
     s = g.factors[0]
     twin = ga.Simple(s.underlying, s.index + 1)
     assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+
+
+@pytest.mark.parametrize("d", [B3, A3], ids=["B3", "A3"])
+def test_elements_agree_across_table_rebuilds(d):
+    # elements hold ShortLex indices, so one made before the table is rebuilt
+    # equals its twin made after it in every reading; on A3, τ is not the
+    # identity and the odd Δ power twists the factors
+    letters = list(zip("abcbacbca", (1, -1, 1, 1, -1, 1, -1, 1, -1)))
+    before = fl(d, letters)
+    boxed, text = before.factors, ga.serialize(before)
+    assert before.delta_power % 2 and boxed
+    old = ga.table(d)
+    ga.table.cache_clear()
+    assert ga.table(d) is not old
+    after = fl(d, letters)
+    assert before == after and hash(before) == hash(after)
+    assert ga.serialize(before) == ga.serialize(after) == text
+    assert before.factors == after.factors == boxed
 
 
 def test_in_parabolic():
@@ -731,6 +754,12 @@ t.coset_key((0, (t.gen["a"],)), frozenset("ab"), 0)
     "left-weighting gave a non-normal pair": """
 t.rcomp[t.gen["a"]] = 0
 ga.from_letters(d, "ab")
+""",
+    # the complement of b in Δ from the left claims to be the identity, so
+    # right-weighting the pair (Δ·a⁻¹, b) of a⁻¹·b moves nothing
+    "right-weighting gave a non-normal pair": """
+t.lcomp[t.gen["b"]] = 0
+ga.left_lcm(ga.generator(d, "a"), ga.generator(d, "b"))
 """,
     "apartment section must be injective": """
 from artinkit import complexes
