@@ -29,7 +29,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, combinations, islice
 
 from . import dynkin
@@ -95,10 +94,6 @@ class ComplexBall:
     def has_edge(self, i, j):
         return j in self._adj[i]  # a scan of i's neighbours: no edge set
 
-    @cached_property
-    def _edge_set(self):
-        return frozenset(self.edges)
-
     def edge_witness(self, i, j):
         """The first enumerated chamber on both vertices of the edge."""
         e = (min(i, j), max(i, j))
@@ -109,7 +104,7 @@ class ComplexBall:
         ordinals, parent, last = self._edge_witness
         k = bisect_left(self.edges, e)
         if self.edges[k:k + 1] != (e,):
-            raise KeyError(e)
+            raise PreconditionFailed(f"{e} is not an edge of the ball")
         c, fs = ordinals[k], []
         while parent[c] >= 0:
             fs.append(last[c])
@@ -120,7 +115,7 @@ class ComplexBall:
     def locate(self, g, type_name):
         """Vertex id of the coset g·A_{X(type)}, or None if not in the ball."""
         if type_name not in self.type_parabolic:
-            raise KeyError(f"unknown vertex type {type_name!r}")
+            raise PreconditionFailed(f"unknown vertex type {type_name!r}")
         t = ga.table(self.ambient)
         if not self._keys:
             # balls rebuilt from JSON carry no keys: derive them once
@@ -599,9 +594,8 @@ def vertex_link(ball, vid):
         )
     nbrs = ball.neighbors(vid)
     nset = set(nbrs)
-    edges = tuple(
-        (i, j) for (i, j) in ball.edges if i in nset and j in nset
-    )
+    edges = tuple((i, j) for i in nbrs for j in ball.neighbors(i)
+                  if i < j and j in nset)
     return LinkGraph(
         center=vid,
         vertices=tuple(ball.vertex(v) for v in nbrs),
@@ -629,7 +623,7 @@ def folded_comparison(folded_ball, folding, plain_ball):
         for i in range(len(image)):
             for j in range(i + 1, len(image)):
                 a, b = image[i], image[j]
-                if (min(a, b), max(a, b)) not in plain_ball._edge_set:
+                if not plain_ball.has_edge(a, b):
                     raise InvariantViolated("comparison image must be a simplex")
         out[v.id] = tuple(image)
     return out

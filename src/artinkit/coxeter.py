@@ -22,14 +22,19 @@ value v takes the sign of v(mid), mid the midpoint of a dyadic bracket of
 c, once |v(mid)| exceeds a bound on |v'| times the bracket's half-width.
 
 An element w is represented by y = w·f0, where f0 = (1, …, 1); t is a left
-descent of w exactly when y_t < 0.  Peeling off the least left descent until
-none is left spells the lex-least reduced word, which is the ShortLex form.
-Enumeration runs right multiplication on w⁻¹·f0 breadth-first and yields
-index tables (right multiplication, parent and last letter of each word).
-Infinite groups work the same way up to the enumeration cap.
+descent of w exactly when y_t < 0.  Every operation runs on this one state:
+`_state` reflects a word's letters into f0 from the right, and `_peel` takes
+off the least left descent among some ranks until none is left.  Over all
+ranks the peeled letters spell the lex-least reduced word, which is the
+ShortLex form; over the ranks of T they spell the ShortLex word of the part
+in W_T, and the state that remains is that of the rest.  Enumeration runs
+right multiplication on w⁻¹·f0 breadth-first and yields index tables (right
+multiplication, parent and last letter of each word).  Infinite groups work
+the same way up to the enumeration cap.
 
-Engines (memo tables) are cached per diagram and grow monotonically; writes
-are idempotent, so concurrent readers in one process observe serial behavior.
+Engines are cached per diagram and keep no table of elements; only a ring
+engine's memo of coordinate signs grows, and its writes are idempotent, so
+concurrent readers in one process observe serial behavior.
 """
 
 from __future__ import annotations
@@ -163,14 +168,11 @@ class Enumeration:
 
 
 class _Engine:
-    """Per-diagram engine on the geometric representation, with memoized
-    right multiplication."""
+    """Per-diagram engine: the numbers game on the geometric representation."""
 
     def __init__(self, diagram):
-        self.d = diagram
         self.gens = diagram.vertices
         self.rank = {s: i for i, s in enumerate(self.gens)}
-        self._rmult = {}
         ring = [m for _, _, m in diagram.edges if m not in _CARTAN]
         M = math.lcm(*ring)
         # the ring is Z itself, of degree 1, when every label is in _CARTAN
@@ -208,11 +210,10 @@ class _Engine:
         return tuple(self.rank[s] for s in word)
 
     def _indices(self, word):
-        rank = self.rank
-        for s in word:
-            if s not in rank:
-                raise UnknownGenerator(f"{s!r} is not a generator")
-        return [rank[s] for s in word]
+        try:
+            return [self.rank[s] for s in word]
+        except KeyError as e:
+            raise UnknownGenerator(f"{e.args[0]!r} is not a generator") from None
 
     # s_i acts by y_i -> -y_i and y_j -> y_j - a_ij·y_i, in place
     def _reflect_int(self, y, i):
@@ -253,18 +254,20 @@ class _Engine:
             if abs(at) > slope * (H - L) << (k + 1) * (deg - 2):
                 return at
 
-    def canonical(self, word):
-        """ShortLex canonical form of an arbitrary word.
-
-        Computes y = w·f0 letter by letter from the right, then peels off
-        the least left descent (the lowest-rank negative coordinate) until
-        none is left; the peeled letters spell the lex-least reduced word.
-        """
-        y = list(self._f0)
+    def _state(self, word, y=None):
+        """y = w·f0 (w·y, in place, for a given state y), computed letter by
+        letter from the right."""
+        y, reflect = list(self._f0) if y is None else y, self._reflect
         for i in reversed(self._indices(word)):
-            self._reflect(y, i)
-        negative, gens = self._negative, self.gens
-        ranks = range(len(gens))
+            reflect(y, i)
+        return y
+
+    def _peel(self, y, ranks):
+        """Peel the least left descent among `ranks` off y = w·f0, in place,
+        until none is left. With w = u·v, u in W_ranks and v without a left
+        descent in ranks, the peeled letters spell u's ShortLex word and y
+        is left as v·f0."""
+        negative, reflect, gens = self._negative, self._reflect, self.gens
         out = []
         while True:
             for i in ranks:
@@ -273,36 +276,11 @@ class _Engine:
             else:
                 return tuple(out)
             out.append(gens[i])
-            self._reflect(y, i)
+            reflect(y, i)
 
-    def rmult(self, word, s):
-        """Canonical form of (canonical word) * s."""
-        memo = self._rmult
-        hit = memo.get((word, s))
-        if hit is None:
-            hit = self.canonical(word + (s,))
-            memo[(word, s)] = hit
-        return hit
-
-    def lmult(self, s, word):
-        return self.canonical((s,) + word)
-
-    def mult(self, u, v):
-        out = u
-        for s in v:
-            out = self.rmult(out, s)
-        return out
-
-    def inv(self, word):
-        return self.canonical(tuple(reversed(word)))
-
-    def is_right_descent(self, word, s):
-        return len(self.rmult(word, s)) < len(word)
-
-    def right_descents(self, word):
-        return frozenset(
-            s for s in self.d.vertices if self.is_right_descent(word, s)
-        )
+    def canonical(self, word):
+        """ShortLex canonical form of an arbitrary word."""
+        return self._peel(self._state(word), range(len(self.gens)))
 
     def enumerate(self, cap):
         """ShortLex enumeration with index tables; CapExceeded if |W| > cap.
@@ -339,16 +317,16 @@ class _Engine:
         return Enumeration(self.gens, words, rmul, parent, last)
 
     def longest_parabolic(self, T):
-        """Longest element of W_T by greedy ascent inside the parabolic."""
-        w = ()
+        """Longest element of W_T, by left ascents in T until each is a descent."""
+        ranks = sorted(self._indices(T))
+        y = list(self._f0)
         while True:
-            for s in T:
-                u = self.rmult(w, s)
-                if len(u) > len(w):
-                    w = u
+            for i in ranks:
+                if not self._negative(y, i):
                     break
             else:
-                return w
+                return self._peel(y, range(len(self.gens)))
+            self._reflect(y, i)
 
 
 # Diagrams whose engine (and, in `garside`, whose table) stays cached; the
@@ -373,11 +351,11 @@ def normal_form(d, word):
 def multiply(x, y):
     if x.group != y.group:
         raise ValueError("elements of different groups")
-    return CoxeterElement(x.group, engine(x.group).mult(x.word, y.word))
+    return CoxeterElement(x.group, engine(x.group).canonical(x.word + y.word))
 
 
 def inverse(x):
-    return CoxeterElement(x.group, engine(x.group).inv(x.word))
+    return CoxeterElement(x.group, engine(x.group).canonical(x.word[::-1]))
 
 
 def enumerate_group(d, cap):
@@ -400,52 +378,56 @@ def gate_projection(x, T, side="right"):
 
     Returns gate, tail with x = gate*tail (right) or x = tail*gate (left) and
     length(x) = length(gate) + length(tail); tail lies in W_T.
+
+    The left T-descents of x = tail*gate are those of its tail, so peeling
+    them off x·f0 spells the tail's ShortLex word and leaves gate·f0. The
+    right side peels x⁻¹ = tail⁻¹*gate⁻¹ alike, which spells tail⁻¹.
     """
-    if side == "left":
-        # W_T*x is the inverse of x⁻¹*W_T: invert its gate and tail
-        right = gate_projection(inverse(x), T, "right")
-        return GateResult(inverse(right.gate), inverse(right.tail),
-                          right.distance)
-    if side != "right":
+    if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     eng = engine(x.group)
-    T = frozenset(T)
-    eng._indices(T)
-    w = x.word
-    stripped = []
-    while True:
-        for s in sorted(T, key=lambda t: eng.rank[t]):
-            if eng.is_right_descent(w, s):
-                w = eng.rmult(w, s)
-                stripped.append(s)
-                break
-        else:
-            break
-    gate = CoxeterElement(x.group, w)
-    tail = CoxeterElement(x.group, eng.canonical(tuple(reversed(stripped))))
+    y = eng._state(x.word if side == "left" else x.word[::-1])
+    tail = eng._peel(y, sorted(eng._indices(T)))
+    if side == "left":
+        gate = eng._peel(y, range(len(eng.gens)))
+    elif tail:  # gate = x·tail⁻¹
+        gate, tail = eng.canonical(x.word + tail), eng.canonical(tail[::-1])
+    else:  # no right descent in T: x is its own gate
+        gate = x.word
+    gate, tail = CoxeterElement(x.group, gate), CoxeterElement(x.group, tail)
     if gate.length + tail.length != x.length:
         raise InvariantViolated("gate and tail lengths must add up to the length of x")
     return GateResult(gate, tail, tail.length)
 
 
 def coset_elements(g, T, side="right"):
-    """Materialize the coset g*W_T (or W_T*g); W_T must be finite."""
+    """Materialize the coset g*W_T (or W_T*g); W_T must be finite.
+
+    The states of W_T*g are the orbit of g·f0 under left multiplication by
+    T; those of g*W_T are g applied to the orbit of f0. Each peels to its
+    ShortLex word, and the orbit's start is g itself.
+    """
     eng = engine(g.group)
-    eng._indices(T)
-    if not is_spherical(g.group.induced(T)):
+    ranks = eng._indices(T)
+    # every parabolic subgroup of a finite W is finite
+    if not (is_spherical(g.group) or is_spherical(g.group.induced(T))):
         raise NotSpherical(f"W_T is infinite for T = {sorted(T, key=eng.rank.get)}")
-    seen = {g.word}
-    frontier = [g.word]
+    right, everything = side == "right", range(len(eng.gens))
+    start = eng._f0 if right else tuple(eng._state(g.word))
+    seen, frontier = {start: g.word}, [start]  # state -> ShortLex word
     while frontier:
         nxt = []
-        for w in frontier:
-            for s in T:
-                u = eng.rmult(w, s) if side == "right" else eng.lmult(s, w)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
+        for y in frontier:
+            for i in ranks:
+                z = list(y)
+                eng._reflect(z, i)
+                z = tuple(z)
+                if z not in seen:
+                    seen[z] = eng._peel(eng._state(g.word, list(z)) if right
+                                        else list(z), everything)
+                    nxt.append(z)
         frontier = nxt
-    return [CoxeterElement(g.group, w) for w in sorted(seen, key=eng.key)]
+    return [CoxeterElement(g.group, w) for w in sorted(seen.values(), key=eng.key)]
 
 
 def pair_gate(d, T1, g1, T2, g2):
@@ -470,20 +452,21 @@ def pair_gate(d, T1, g1, T2, g2):
         raise NotSpherical("pair_gate requires a spherical diagram")
     eng = engine(d)
     T1, T2 = frozenset(T1), frozenset(T2)
-    # one strip per side: a left descent of the T2-gate of v is a left
+    # one peel per side: a left descent of the T2-gate of v is a left
     # descent of v itself, since v is that gate times a reduced tail
     left = gate_projection(multiply(inverse(g1), g2), T1, "left")
     w = gate_projection(left.gate, T2, "right").gate
-    inv_w = tuple(reversed(w.word))
-    conj = {s: eng.canonical(inv_w + (s,) + w.word) for s in T1}
-    K = {s for s, c in conj.items() if len(c) == 1 and c[0] in T2}
+    # w⁻¹·s·w = t exactly when s·w and w·t have one state
+    after = {tuple(eng._state(w.word + (t,))): t for t in T2}
+    conj = {s: after.get(tuple(eng._state((s,) + w.word))) for s in T1}
+    K = {s for s, t in conj.items() if t is not None}
     x0 = multiply(g1, left.tail)
-    y0 = multiply(x0, w)
     X = coset_elements(x0, K)
-    Y = coset_elements(y0, {conj[s][0] for s in K})
     pairs = [(x, multiply(x, w)) for x in X]
+    y0 = dict(pairs)[x0]
+    Y = coset_elements(y0, {conj[s] for s in K})
     if ({y for _, y in pairs} != set(Y)
-            or not set(eng.mult(eng.inv(g2.word), y0.word)) <= T2):
+            or not set(eng.canonical(g2.word[::-1] + y0.word)) <= T2):
         raise InvariantViolated(
             "gate images must form the parallel coset inside g2·W_T2")
     return X, Y, pairs

@@ -79,19 +79,17 @@ class GarsideTable:
         if needed > MAX_TABLE:
             raise CapExceeded(MAX_TABLE, needed)
         self.d = d
-        self.eng = eng = cx.engine(d)
         # kept for the coset-minima rows of balls, complexes and apartments
-        self.enumeration = en = eng.enumerate(cap=MAX_TABLE)
+        self.enumeration = en = cx.engine(d).enumerate(cap=MAX_TABLE)
         self.words = words = en.words
-        self.idx = {w: i for i, w in enumerate(words)}
         self.n = n = len(words)
         self.length = length = [len(w) for w in words]
         self.rank = {s: i for i, s in enumerate(d.vertices)}
-        self.gen = {s: self.idx[(s,)] for s in d.vertices}
         # rmul[x][i] = x·s_i. With x = p·s_k (p = parent, k = last letter),
         # s_i·x = (s_i·p)·s_k and x⁻¹ = s_k·p⁻¹ read rows of shorter elements,
         # which come earlier in ShortLex order
         self.rmul = rmul = en.rmul
+        self.gen = dict(zip(d.vertices, rmul[0]))
         parent, last = en.parent, en.last
         lmul = [rmul[0]] * n
         inv = [0] * n
@@ -121,7 +119,6 @@ class GarsideTable:
             [sum(1 << i for i, y in enumerate(row) if length[y] < length[x])
              for x, row in enumerate(rows)] for rows in (lmul, rmul))
         self.proper = range(1, w0)  # neither the identity nor Δ
-        self._w0_parabolic = {}
         # flat tables keyed by u·n + v, filled on first lookup
         self._left_weight = {}  # left-weighted pair for u·v, () if normal
         self._right_weight = {}  # the mirror: keyed v·n + u for the pair u·v
@@ -164,13 +161,11 @@ class GarsideTable:
         return {s: by_mask[rdesc[s]] for s in proper}
 
     def w0_parabolic(self, X):
-        """Index of the longest element of W_X."""
-        X = frozenset(X)
-        hit = self._w0_parabolic.get(X)
-        if hit is None:
-            hit = self.idx[self.eng.longest_parabolic(sorted(X, key=self.d.vertices.index))]
-            self._w0_parabolic[X] = hit
-        return hit
+        """Index of the longest element of W_X, by right ascents in X."""
+        mask, w = sum(1 << self.rank[s] for s in X), 0
+        while up := mask & ~self.rdesc[w]:
+            w = self.rmul[w][(up & -up).bit_length() - 1]
+        return w
 
     # -- normal form over raw (delta_power, factor index tuple) ----------
 
@@ -458,9 +453,11 @@ def from_letters(d, letters):
         if s not in gen:
             raise UnknownGenerator(f"{s!r} is not a generator")
         g = gen[s]
-        if sign <= 0:
+        if sign == -1:
             k -= 1
             g = lcomp[g]
+        elif sign != 1:
+            raise PreconditionFailed(f"letter ({s!r}, {sign!r}): the sign must be 1 or -1")
         gs.append(tau[g] if k % 2 else g)
     fs = t._sweep([], gs)
     return GarsideElement(t.d, t._absorb(k, [tau[f] for f in fs] if k % 2 else fs))
@@ -621,7 +618,7 @@ def center_of(d, X):
     """c_X = Δ_X^e, e ∈ {1,2} minimal with c_X commuting with A_X."""
     t = table(d)
     dx = delta_of(d, X)
-    w0x = t.w0_parabolic(frozenset(X))
+    w0x = t.w0_parabolic(X)
     central = all(t.product(t.product(w0x, t.gen[s]), w0x) == t.gen[s]
                   for s in X)
     return dx if central else multiply(dx, dx)
@@ -760,11 +757,12 @@ def parse_element(d, text):
         for chunk in body.split("|"):
             chunk = chunk.strip()
             letters = chunk.split() if _needs_spaces(d) else list(chunk)
+            w = 0
             for s in letters:
                 if s not in t.gen:
                     raise ParseError(1, f"unknown generator {s!r}")
-            w = cx.engine(d).canonical(tuple(letters))
-            if len(w) != len(letters):
+                w = t.rmul[w][t.rank[s]]
+            if t.length[w] != len(letters):
                 raise ParseError(1, f"factor {chunk!r} is not a reduced word")
-            fs.append(t.idx[w])
+            fs.append(w)
     return GarsideElement(t.d, t.normalize(k, fs))

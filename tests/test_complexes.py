@@ -198,7 +198,7 @@ def test_flagness_on_inner_triangles():
     for v in sorted(b.inner):
         nb = [u for u in b.neighbors(v) if u > v and u in b.inner]
         for x, y in combinations(nb, 2):
-            if (min(x, y), max(x, y)) in b._edge_set:
+            if b.has_edge(x, y):
                 tris.append((v, x, y))
     assert len(tris) == 239
     for tri in tris:
@@ -274,7 +274,7 @@ def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
             last = t.words[raw[1][-1]] if raw[1] else ()
             for s in ball.types:
                 X = ball.type_parabolic[s]
-                if not any(eng.is_right_descent(last, x) for x in X):
+                if not any(len(eng.canonical(last + (x,))) < len(last) for x in X):
                     want.append((raw, X))
         assert calls == want
         assert len(want) < len(types) * ball.chamber_count
@@ -362,13 +362,13 @@ def test_bound_monotonicity():
         assert set(sk) <= set(bk)
         for i, j in small.edges:
             e = tuple(sorted((bk[key(small, i)], bk[key(small, j)])))
-            assert e in big._edge_set
+            assert big.has_edge(*e)
         missing = []
         rb = {v: k for k, v in bk.items()}
         for i, j in big.edges:
             if rb[i] in sk and rb[j] in sk:
                 si, sj = sk[rb[i]], sk[rb[j]]
-                if (min(si, sj), max(si, sj)) not in small._edge_set:
+                if not small.has_edge(si, sj):
                     missing.append((si, sj))
                     assert not (si in small.inner and sj in small.inner)
         assert len(missing) == late
@@ -444,7 +444,7 @@ def test_apartment_dihedral_embeds_in_ball():
     assert len(set(loc)) == len(loc)
     for i, j in ap.edges:
         e = (min(loc[i], loc[j]), max(loc[i], loc[j]))
-        assert e in b._edge_set
+        assert b.has_edge(*e)
 
 
 def test_apartment_translated_by_base():
@@ -637,7 +637,7 @@ def test_folded_outer_merge_ball():
         assert all(x is not None for x in flat)
         for x, y in combinations(flat, 2):
             if x != y:
-                assert (min(x, y), max(x, y)) in plain._edge_set
+                assert plain.has_edge(x, y)
 
 
 def test_folded_ball_rejects_invalid_folding():
@@ -682,6 +682,18 @@ def test_loaded_ball_names_its_missing_edge_witness():
                        match=rf"edge \({i}, {j}\): a ball loaded from JSON "
                              "carries no edge witnesses"):
         back.edge_witness(j, i)
+
+
+def test_edge_witness_names_a_pair_that_is_no_edge():
+    b = cpx.build_ball(B3, ["a", "b", "c"], 2)
+    with pytest.raises(PreconditionFailed, match=r"\(0, 0\) is not an edge of the ball"):
+        b.edge_witness(0, 0)
+
+
+def test_locate_names_an_unknown_type():
+    b = cpx.build_ball(B3, ["a", "b", "c"], 2)
+    with pytest.raises(PreconditionFailed, match="unknown vertex type 'z'"):
+        b.locate(ga.identity(B3), "z")
 
 
 def test_dot_export_mentions_every_vertex_and_edge():

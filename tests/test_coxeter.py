@@ -151,7 +151,8 @@ def test_descent_distribution_a3():
     # Eulerian numbers for S4
     elems = cx.enumerate_group(A3, 100)
     eng = cx.engine(A3)
-    hist = Counter(len(eng.right_descents(x.word)) for x in elems)
+    hist = Counter(sum(len(eng.canonical(x.word + (s,))) < x.length for s in A3.vertices)
+                   for x in elems)
     assert [hist[i] for i in range(4)] == [1, 11, 11, 1]
 
 
@@ -197,7 +198,7 @@ def _strip_gate(x, T, side):
     w, stripped = x.word, []
     while True:
         for s in sorted(T, key=eng.rank.get):
-            shorter = eng.rmult(w, s) if side == "right" else eng.lmult(s, w)
+            shorter = eng.canonical(w + (s,) if side == "right" else (s,) + w)
             if len(shorter) < len(w):
                 w = shorter
                 stripped.append(s)
@@ -208,9 +209,19 @@ def _strip_gate(x, T, side):
     return w, eng.canonical(tuple(tail))
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4"])
+CORPUS = Path(__file__).parent / "corpus"
+
+# finite groups, the infinite Ã2, and a cycle on the Z[c] engine (label 5)
+GATE_DIAGRAMS = {
+    "A3": A3, "B3": B3, "H3": dy.path_diagram("abc", [5, 3]), "D4": D4,
+    "AFF_A2": AFF_TRIANGLE,
+    "cyc_3435": dy.parse_diagram((CORPUS / "cyc_3435.dyn").read_text()),
+}
+
+
+@pytest.mark.parametrize("name", GATE_DIAGRAMS)
 def test_gate_projection_both_sides_match_the_strip_loop(name):
-    d = {"A3": A3, "B3": B3, "H3": dy.path_diagram("abc", [5, 3]), "D4": D4}[name]
+    d = GATE_DIAGRAMS[name]
     gens = d.vertices
     subsets = [set(c) for r in range(len(gens) + 1)
                for c in combinations(gens, r)]
@@ -222,6 +233,29 @@ def test_gate_projection_both_sides_match_the_strip_loop(name):
                 r = cx.gate_projection(x, T, side)
                 assert (r.gate.word, r.tail.word) == _strip_gate(x, T, side)
                 assert r.distance == r.tail.length
+
+
+@pytest.mark.parametrize("name", ["AFF_A2", "cyc_3435"])
+def test_coset_elements_of_finite_parabolics_in_infinite_groups(name):
+    # g·W_T is the gate times each element of W_T, enumerated on its own
+    d = GATE_DIAGRAMS[name]
+    gens = d.vertices
+    eng = cx.engine(d)
+    finite = [set(c) for r in range(1, len(gens)) for c in combinations(gens, r)
+              if dy.is_spherical(d.induced(c))]
+    assert finite
+    rng = random.Random(name)
+    for _ in range(8):
+        x = nf(d, "".join(rng.choice(gens) for _ in range(rng.randint(0, 12))))
+        for T in finite:
+            W_T = [u.word for u in cx.enumerate_group(d.induced(T), 200)]
+            for side in ("right", "left"):
+                gate = cx.gate_projection(x, T, side).gate.word
+                want = {eng.canonical(gate + u if side == "right" else u + gate)
+                        for u in W_T}
+                assert len(want) == len(W_T)
+                got = [e.word for e in cx.coset_elements(x, T, side)]
+                assert got == sorted(want, key=eng.key)
 
 
 def test_coset_elements():
@@ -306,8 +340,6 @@ def test_pair_gate_against_brute_force_nearest_points(name):
 
 
 # -- geometric engine ----------------------------------------------------------
-
-CORPUS = Path(__file__).parent / "corpus"
 
 
 def _poincare(degrees):

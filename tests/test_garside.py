@@ -44,6 +44,13 @@ def test_from_letters_frozen():
     assert fl(A3, "abacba") == ga.delta(A3)
 
 
+def test_from_letters_takes_only_signs_plus_and_minus_one():
+    for sign in (0, 5, -2):
+        with pytest.raises(PreconditionFailed, match=rf"letter \('a', {sign}\)"):
+            fl(B3, [("b", 1), ("a", sign)])
+    assert fl(B3, [("a", 1), ("a", -1)]).is_identity()
+
+
 def str_simple(s):
     return "".join(s.underlying.word)
 
@@ -56,7 +63,7 @@ def test_normal_form_structure():
     for _ in range(200):
         letters = [(rng.choice("abc"), rng.choice([1, -1])) for _ in range(rng.randint(0, 9))]
         g = fl(A3, letters)
-        idx = [t.idx[s.underlying.word] for s in g.factors]
+        idx = [t.words.index(s.underlying.word) for s in g.factors]
         assert 0 not in idx
         if idx:
             assert idx[0] != t.w0i
@@ -391,7 +398,7 @@ def test_simples_carry_their_index_outside_equality():
     t = ga.table(B3)
     g = fl(B3, "abcbacb")
     assert g.raw == (g.delta_power,
-                     tuple(t.idx[s.underlying.word] for s in g.factors))
+                     tuple(t.words.index(s.underlying.word) for s in g.factors))
     s = g.factors[0]
     twin = ga.Simple(s.underlying, s.index + 1)
     assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
@@ -600,19 +607,20 @@ def test_table_matches_word_multiplication():
     # meets against the divisor definition, on an integer and a Z[c] diagram
     for d in (B3, dy.path_diagram("abc", [5, 3])):
         t = ga.table(d)
-        eng = t.eng
+        canonical = cx.engine(d).canonical
+        idx = {w: i for i, w in enumerate(t.words)}
         w0 = t.words[t.w0i]
         for u, wu in enumerate(t.words):
             for v, wv in enumerate(t.words):
-                assert t.product(u, v) == t.idx[eng.mult(wu, wv)]
-            wi = eng.inv(wu)
+                assert t.product(u, v) == idx[canonical(wu + wv)]
+            wi = canonical(wu[::-1])
             assert t.words[t.inv[u]] == wi
-            assert t.words[t.tau[u]] == eng.mult(eng.mult(w0, wu), w0)
-            assert t.words[t.rcomp[u]] == eng.mult(wi, w0)
-            assert t.words[t.lcomp[u]] == eng.mult(w0, wi)
+            assert t.words[t.tau[u]] == canonical(w0 + wu + w0)
+            assert t.words[t.rcomp[u]] == canonical(wi + w0)
+            assert t.words[t.lcomp[u]] == canonical(w0 + wi)
             for i, s in enumerate(d.vertices):
-                assert t.words[t.rmul[u][i]] == eng.mult(wu, (s,))
-                assert t.words[t.lmul[u][i]] == eng.mult((s,), wu)
+                assert t.words[t.rmul[u][i]] == canonical(wu + (s,))
+                assert t.words[t.lmul[u][i]] == canonical((s,) + wu)
         # u ≤ w on the left iff ℓ(u) + ℓ(u⁻¹w) = ℓ(w), and dually
         ln = t.length
         ldivs = [{u for u in range(t.n)
