@@ -3,19 +3,23 @@
 Vertices of type s are left cosets g·A_{X(s)} where X(s) is the type's
 parabolic generator set (the complement of {s} for plain complexes, the
 complement of a folding fiber for folded ones). Chambers are group elements
-enumerated in deterministic layers by canonical size; two chambers land on
-the same vertex exactly when their cosets agree, decided by an exact
-canonical key. Only some chambers pay for a key: those with no factors,
-and, per type, those whose last factor w has no right descent in X(s).
-Any other chamber reads its vertex off the chamber with w replaced by the
-minimal representative of w·W_X: its parent or an earlier sibling. A ball
-is built in one pass over this chamber stream, each chamber claiming its
-vertices and edges as it comes; the vertex rows of all chambers are kept
-in one flat list of ints. By the same argument with Y = X_i ∩ X_j, only a
-chamber whose w is minimal in w·W_Y can be the first on an {i, j} edge, so
-only those look it up. A ball keeps the ordinal of each edge's first
-chamber, and each chamber's parent ordinal and last factor, to rebuild
-edge witnesses; coset keys are packed into bytes. No finite ball is
+enumerated in deterministic layers by canonical size: within a layer, by
+Δ-exponent d and then by factor sequence, lexicographic by index. The
+parent of (d, f1⋯fk) is (d, f1⋯fk−1), one layer earlier, and its children,
+a sibling group, are the fk that may follow fk−1 (any proper simple when
+k = 1), in index order. Two chambers land on the same vertex exactly when
+their cosets agree, decided by an exact canonical key. Only some chambers
+pay for a key: those with no factors, and, per type, those whose last
+factor w has no right descent in X(s). Any other chamber reads its vertex
+off the chamber with w replaced by the minimal representative of w·W_X:
+its parent or an earlier sibling. By the same argument with
+Y = X_i ∩ X_j, only a chamber whose w is minimal in w·W_Y can be the first
+on an {i, j} edge, so only those look it up. Which children key, copy or
+look up depends only on the list of children, so a plan is made once per
+list; a ball is built in one pass, a sibling group at a time, keeping the
+vertex rows of the previous layer only. A ball keeps the ordinal of each
+edge's first chamber, and each chamber's parent ordinal and last factor, to
+rebuild edge witnesses; coset keys are packed into bytes. No finite ball is
 complete, so every downstream verdict about a ball is one-sided:
 inner-marked vertices are the ones whose local structure the enumeration
 is known to cover.
@@ -29,7 +33,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, islice, repeat
 
 from . import dynkin
 from . import garside as ga
@@ -251,42 +255,6 @@ def effective_bound(t, bound, max_chambers):
     return eff
 
 
-def _walk(t, eff):
-    """Deterministic chamber stream, grouped by parent: (raw, ordinal of its
-    parent).
-
-    Raw normal forms come in size layers; within a layer, by Δ-exponent d
-    and then by factor sequence, lexicographic by index. The parent of
-    (d, f1⋯fk) is (d, f1⋯fk−1), one layer earlier; a chamber with no
-    factors has parent −1. Children of each parent come in index order, so
-    walking the previous layer in order keeps the sequences lexicographic.
-    """
-    follows, proper = t.follows, t.proper
-    # d -> (ordinal of the first, factors of each) over the previous layer's
-    # chambers, which the stream numbers consecutively
-    prev = {}
-    n = 0
-    for r in range(eff + 1):
-        layer = {}
-        for d in range(-r, r + 1):
-            here = []
-            layer[d] = (n, here)
-            if r == abs(d):
-                here.append(())
-                yield (d, ()), -1
-                n += 1
-                continue
-            first, seqs = prev[d]
-            for p, seq in enumerate(seqs, first):
-                for w in follows[seq[-1]] if seq else proper:
-                    fs = seq + (w,)
-                    if r < eff:  # nothing reads the last layer's list
-                        here.append(fs)
-                    yield (d, fs), p
-                    n += 1
-        prev = layer
-
-
 # -- ball construction --------------------------------------------------------
 
 
@@ -332,76 +300,106 @@ def _packed(key):
     return array("H", (key[0], *key[1])).tobytes()
 
 
-def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents):
-    """Yield (raw, row) for each chamber of the stream, where row[i] is the
-    chamber's vertex for parabolics[i]. Vertices are numbered as first met:
-    by_key[i] maps packed coset keys to vertices and witness_of[v] = (i,
-    first chamber on v). parents gets each chamber's parent ordinal.
-
-    The X-vertex of (d, f1⋯fk) is that of (d, f1⋯fk−1·w^X) for w = fk, since
-    w = w^X·w_X with w_X in A_X⁺: the parent when w^X = 1, otherwise an
-    earlier sibling, normal as L(w^X) ⊆ L(w). So every vertex is first met
-    at a chamber that computes its key.
-    """
-    minima = [t.enumeration.coset_minima(X) for X in parabolics]
-    key = t.coset_key
-    n = len(parabolics)
-    rows = []  # flat: chamber c's vertex for parabolics[i] at c·n + i
-    kids = {}  # last factor -> ordinal among the current parent's children
-    for c, (raw, parent) in enumerate(_walk(t, eff)):
-        parents.append(parent)
-        w = 0  # the identity: its own minimal representative
-        if parent >= 0:
-            if kids.get(0) != parent:
-                kids = {0: parent}
-            w = raw[1][-1]
-            kids[w] = c
-        row = []
-        for i, rep in enumerate(minima):
-            m = rep[w]
-            if m != w:
-                row.append(rows[kids[m] * n + i])
-                continue
-            k = _packed(key(raw, parabolics[i], shift))
-            vid = by_key[i].get(k)
-            if vid is None:
-                vid = by_key[i][k] = len(witness_of)
-                witness_of.append((i, raw))
-            row.append(vid)
-        rows += row
-        yield raw, row
-
-
 def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
               type_diagram):
-    """Build the ball in one pass over the chamber stream: each chamber
-    claims the edges between its vertices that no earlier chamber has, by
-    first-met vertex ids in type order; the ids are then sorted into their
-    deterministic order and the edges remapped once (Y-minimal chambers
-    only, see the module docstring). edge_witness is (first chamber ordinal
-    per sorted edge, parent ordinal and last factor per chamber, the Δ power
-    for a chamber with no factors)."""
+    """Build the ball in one pass over the chamber stream, a sibling group at
+    a time (see the module docstring): each group claims the edges between
+    its chambers' vertices that no earlier chamber has, keyed by first-met
+    vertex ids a << 32 | b in type order; the ids are then sorted into their
+    deterministic order and the edges remapped once. edge_witness is (first
+    chamber ordinal per sorted edge, parent ordinal and last factor per
+    chamber, the Δ power for a chamber with no factors)."""
     t = ga.table(d)
     eff = effective_bound(t, bound, max_chambers)
     if margin is None:
         margin = 2  # twice the canonical size of the full twist
     shift = (eff + 1) // 2
     parabolics = [type_parabolic[s] for s in types]
+    minima = [t.enumeration.coset_minima(X) for X in parabolics]
+    pairs = list(combinations(range(len(types)), 2))
+    pair_minima = [t.enumeration.coset_minima(parabolics[i] & parabolics[j])
+                   for i, j in pairs]
+    key, follows, rdesc = t.coset_key, t.follows, t.rdesc
     by_key = [{} for _ in parabolics]
-    witness_of = []
+    witness_of = []  # first-met id -> (type position, first chamber on it)
     parents, last = array("q"), array("q")
-    pairs = [(i, j, t.enumeration.coset_minima(parabolics[i] & parabolics[j]))
-             for i, j in combinations(range(len(types)), 2)]
-    claimed = {}  # edge between first-met ids -> ordinal of its first chamber
-    stream = _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents)
-    for c, ((delta, fs), row) in enumerate(stream):
-        w = fs[-1] if fs else 0
-        last.append(w if fs else delta)
-        for i, j, rep in pairs:
-            if rep[w] == w:
-                e = (row[i], row[j])
-                if e not in claimed:
-                    claimed[e] = c
+    claimed = {}  # first-met ids a << 32 | b -> ordinal of the edge's first chamber
+
+    def vertex_ids(i, raws):
+        """Type-i vertex ids of chambers that key it, numbered as first met."""
+        X, keyed, out = parabolics[i], by_key[i], []
+        for raw in raws:
+            k = _packed(key(raw, X, shift))
+            vid = keyed.get(k)
+            if vid is None:
+                vid = keyed[k] = len(witness_of)
+                witness_of.append((i, raw))
+            out.append(vid)
+        return out
+
+    plans = {}  # R(parent's last factor) -> plan: follows[s] depends on R(s)
+
+    def plan(kids):
+        """Per type, the X-minimal children and a gather of every child's
+        vertex from [the parent's, the X-minimal children's] (w^X is the
+        parent or a child, as L(w^X) ⊆ L(w)); per type pair, the Y-minimal
+        children. Children are positions in kids. None when there are none:
+        rank 1 has no proper simples."""
+        if not kids:
+            return None
+        per_type = []
+        for rep in minima:
+            keyed = [k for k, w in enumerate(kids) if rep[w] == w]
+            slot = {0: 0, **{kids[k]: pos for pos, k in enumerate(keyed, 1)}}
+            idx = [slot[rep[w]] for w in kids]  # itemgetter(k) is no sequence
+            per_type.append((keyed, operator.itemgetter(*idx) if len(idx) > 1
+                             else operator.itemgetter(slice(idx[0], idx[0] + 1))))
+        return kids, per_type, [[k for k, w in enumerate(kids) if rep[w] == w]
+                                for rep in pair_minima]
+
+    n = 0  # chambers so far
+    prev = {}  # Δ power -> (first ordinal, factors, vertex rows) of a layer
+    for r in range(eff + 1):
+        layer = {}
+        for delta in range(-r, r + 1):
+            if r == abs(delta):  # no factors: every vertex and edge keyed
+                raw = (delta, ())
+                row = [vertex_ids(i, [raw])[0] for i in range(len(types))]
+                for i, j in pairs:
+                    claimed.setdefault(row[i] << 32 | row[j], n)
+                parents.append(-1)
+                last.append(delta)
+                layer[delta] = (n, [()], [[v] for v in row])
+                n += 1
+                continue
+            first, seqs, rows = prev[delta]
+            here, here_rows = [], [[] for _ in types]
+            layer[delta] = (n, here, here_rows)
+            for q, seq in enumerate(seqs):
+                mask = rdesc[seq[-1]] if seq else -1
+                if mask not in plans:
+                    plans[mask] = plan(follows[seq[-1]] if seq else t.proper)
+                if plans[mask] is None:
+                    continue
+                kids, per_type, pair_keyed = plans[mask]
+                raws = [(delta, seq + (w,)) for w in kids]
+                group = []
+                for i, (keyed, gather) in enumerate(per_type):
+                    src = [rows[i][q]]
+                    src += vertex_ids(i, [raws[k] for k in keyed])
+                    group.append(gather(src))
+                for (i, j), keyed in zip(pairs, pair_keyed):
+                    a, b = group[i], group[j]
+                    for k in keyed:
+                        claimed.setdefault(a[k] << 32 | b[k], n + k)
+                parents.extend(repeat(first + q, len(kids)))
+                last.extend(kids)
+                n += len(kids)
+                if r < eff:  # nothing reads the last layer's chambers
+                    here += [fs for _, fs in raws]
+                    for keep, row in zip(here_rows, group):
+                        keep += row
+        prev = layer
 
     # deterministic ids: sort by (type position, witness size, witness text)
     def sort_key(v):
@@ -418,18 +416,19 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
             id=new, type=types[i], witness=ga.GarsideElement(t.d, raw)))
 
     # new ids grow with the type position, so each edge stays increasing
-    firsts = sorted(claimed, key=lambda e: newid[e[0]] * len(newid) + newid[e[1]])
-    ordinals = array("q", map(claimed.get, firsts))
+    low = (1 << 32) - 1
+    firsts = sorted(claimed, key=lambda e: newid[e >> 32] << 32 | newid[e & low])
+    ordinals = array("q", list(map(claimed.get, firsts)))  # a list: read at C speed
     del claimed
-    edges = tuple((newid[a], newid[b]) for a, b in firsts)
+    edges = tuple((newid[e >> 32], newid[e & low]) for e in firsts)
     del firsts  # freed before the neighbour lists are built: a lower peak
 
     inner = frozenset(
         v.id for v in vertices if v.witness.size <= eff - margin
     )
     for keyed in by_key:
-        for key, vid in keyed.items():
-            keyed[key] = newid[vid]
+        for packed, vid in keyed.items():
+            keyed[packed] = newid[vid]
     return ComplexBall(
         ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
         effective_bound=eff, margin=margin, chamber_count=len(last),

@@ -1,7 +1,8 @@
 """Exact computation in Coxeter groups presented by Dynkin diagrams.
 
-Elements are canonical ShortLex-minimal reduced words (tuples of generator
-names); the generator order is the diagram's vertex declaration order.
+Operations return elements as ShortLex-minimal reduced words (tuples of
+generator names), the generator order being the diagram's vertex declaration
+order, and read an element given by any other word as the one it spells.
 
 The word problem is solved by the numbers game (Björner & Brenti,
 Combinatorics of Coxeter Groups, ch. 4; Casselman, "Computation in Coxeter
@@ -370,7 +371,7 @@ def longest_element(d):
 
 
 def support(x):
-    return frozenset(x.word)
+    return frozenset(engine(x.group).canonical(x.word))
 
 
 def gate_projection(x, T, side="right"):
@@ -386,6 +387,7 @@ def gate_projection(x, T, side="right"):
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     eng = engine(x.group)
+    x = CoxeterElement(x.group, eng.canonical(x.word))  # x may hold any word
     y = eng._state(x.word if side == "left" else x.word[::-1])
     tail = eng._peel(y, sorted(eng._indices(T)))
     if side == "left":
@@ -409,6 +411,7 @@ def coset_elements(g, T, side="right"):
     """
     eng = engine(g.group)
     ranks = eng._indices(T)
+    g = CoxeterElement(g.group, eng.canonical(g.word))  # g may hold any word
     # every parabolic subgroup of a finite W is finite
     if not (is_spherical(g.group) or is_spherical(g.group.induced(T))):
         raise NotSpherical(f"W_T is infinite for T = {sorted(T, key=eng.rank.get)}")

@@ -160,6 +160,13 @@ class GarsideTable:
                    for m in {rdesc[s] for s in proper}}
         return {s: by_mask[rdesc[s]] for s in proper}
 
+    @cached_property
+    def texts(self):
+        """Each element's ShortLex word as `serialize` writes a factor, made on
+        the first serialization: a table never printed pays nothing."""
+        sep = " " if _needs_spaces(self.d) else ""
+        return [sep.join(w) for w in self.words]
+
     def w0_parabolic(self, X):
         """Index of the longest element of W_X, by right ascents in X."""
         mask, w = sum(1 << self.rank[s] for s in X), 0
@@ -255,7 +262,9 @@ class GarsideTable:
         of the shifted coset (Godelle, J. Algebra 2007). The Δ power is moved
         out of the way first: Δ^d·x = τ^d(x)·Δ^d, and Δ^d·A_X = Δ^e·m·A_X
         for the minimal representative Δ^e·m of Δ^d·A_X, cached per (X, d).
-        What is left, τ^(d+e)(x)·m, goes through `_strip` and then `_sweep`.
+        What is left, τ^(d+e)(x)·m, goes through `_strip`, and is swept only
+        if some pair is not left-weighted or some factor is 1 (ch. 9 of Epstein
+        et al.: left-weighted pairs make a normal form).
         """
         d, fs = a
         d += 2 * shift
@@ -268,7 +277,14 @@ class GarsideTable:
         e, m = rep
         seq = [self.tau[f] for f in fs] if (d + e) % 2 else list(fs)
         seq.extend(m)
-        return self.normalize(*self._strip(e, seq, X))
+        e, seq = self._strip(e, seq, X)
+        ldesc, rdesc = self.ldesc, self.rdesc
+        f = self.w0i  # every simple may follow Δ
+        for g in seq:
+            if not g or ldesc[g] & ~rdesc[f]:
+                return self.normalize(e, seq)
+            f = g
+        return self._absorb(e, seq)
 
     def _strip(self, d, seq, X):
         """Minimal positive representative of Δ^d·seq·A_X, as (d, factors).
@@ -727,11 +743,10 @@ def serialize(g):
 
 def serialize_raw(t, raw):
     """serialize() of a raw (delta_power, factor indices) form of table t."""
-    head = f"Δ^{raw[0]} ·"
-    if not raw[1]:
-        return head
-    sep = " " if _needs_spaces(t.d) else ""
-    return head + " " + " | ".join(sep.join(t.words[f]) for f in raw[1])
+    d, fs = raw
+    if not fs:
+        return f"Δ^{d} ·"
+    return f"Δ^{d} · " + " | ".join(map(t.texts.__getitem__, fs))
 
 
 def _needs_spaces(d):

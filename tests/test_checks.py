@@ -393,6 +393,18 @@ def reference_b3():
     return ball(B3, "abc", 5, max_chambers=160_000)
 
 
+def test_reference_ball_export_bytes(reference_b3):
+    b = reference_b3
+    blob = b.to_json_str().encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == (
+        "2c3d75b3c7e2efcafc69d32afdb3f21f68a517ba27e04be717a45ae1833865b4")
+    # every 997th edge's witness: the chamber ordinals and parent links
+    witnesses = "".join(str(b.edge_witness(*b.edges[k]))
+                        for k in range(0, len(b.edges), 997))
+    assert hashlib.sha256(witnesses.encode("utf-8")).hexdigest() == (
+        "6f9f829b2569bb16300b78a38dfc2eecbb4da835fbe7184c0498a86ae59e8114")
+
+
 @pytest.mark.parametrize("check", sorted(VERDICT_SHA256))
 def test_reference_ball_verdict_bytes(reference_b3, check):
     b = reference_b3

@@ -177,6 +177,22 @@ def test_gate_projection_frozen():
     assert len(r.tail.word) + len(r.gate.word) == 2
 
 
+def test_any_word_names_its_element():
+    # aa is the identity; ca and bab are reduced words of ac and aba, not
+    # their ShortLex ones
+    cases = [(("a", "a"), ""), (("c", "a"), "ac"), (("b", "a", "b"), "aba")]
+    for word, shortlex in cases:
+        x, canon = cx.CoxeterElement(A3, word), nf(A3, shortlex)
+        assert cx.support(x) == cx.support(canon)
+        assert cx.multiply(x, x) == cx.multiply(canon, canon)
+        assert cx.inverse(x) == cx.inverse(canon)
+        for T in ({"a"}, {"b"}, {"a", "c"}):
+            for side in ("left", "right"):
+                assert cx.gate_projection(x, T, side) == cx.gate_projection(canon, T, side)
+                assert cx.coset_elements(x, T, side) == cx.coset_elements(canon, T, side)
+            assert cx.pair_gate(A3, T, x, {"b"}, x) == cx.pair_gate(A3, T, canon, {"b"}, canon)
+
+
 def test_gate_projection_exhaustive_vs_oracle():
     cases = [
         (A3, oracles.model_A(3, "abc"), "abc"),

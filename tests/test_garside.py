@@ -702,6 +702,79 @@ def test_rank4_against_garside_oracle(d, make):
                 assert not (left_divides(ox, ls) and left_divides(oy, ls))
 
 
+# coset keys: a left-weighted stripped sequence is returned as it stands ------
+
+
+def _swept_coset_key(t, a, X, shift):
+    """`coset_key` with every stripped sequence swept into normal form."""
+    d, fs = a
+    d += 2 * shift
+    e, m = t._strip(d, [], X)
+    seq = [t.tau[f] for f in fs] if (d + e) % 2 else list(fs)
+    return t.normalize(*t._strip(e, seq + m, X))
+
+
+@pytest.mark.parametrize("d", [A3, B3, H3, D4, F4],
+                         ids=["A3", "B3", "H3", "D4", "F4"])
+def test_coset_key_agrees_with_sweeping_the_stripped_sequence(d):
+    t = ga.table(d)
+    gens = d.vertices
+    subsets = [frozenset(c) for k in range(len(gens) + 1)
+               for c in itertools.combinations(gens, k)]
+    rng = random.Random(18)
+    for _ in range(150):
+        letters = [(rng.choice(gens), rng.choice((1, 1, -1)))
+                   for _ in range(rng.randrange(12))]
+        g = ga.multiply(ga.delta(d, -rng.randrange(3)), fl(d, letters))
+        least = max(0, (1 - g.delta_power) // 2)  # Δ^(2·shift)·g positive
+        for shift in (least, least + 1):
+            X = rng.choice(subsets)
+            assert t.coset_key(g.raw, X, shift) == _swept_coset_key(t, g.raw, X, shift)
+
+
+def test_coset_key_callers_agree_with_the_sweep(monkeypatch):
+    keyed = ga.GarsideTable.coset_key
+    negative = []
+
+    def checked(self, a, X, shift):
+        key = keyed(self, a, X, shift)
+        assert key == _swept_coset_key(self, a, X, shift), (a, X, shift)
+        negative.append(a[0] < 0)
+        return key
+
+    monkeypatch.setattr(ga.GarsideTable, "coset_key", checked)
+    for d in (A3, B3, H3):
+        base = fl(d, [("a", -1), ("c", -1), ("b", 1)])
+        complexes.apartment_cycle(d, base=base)
+    r1, X1 = ga.elementary_conjugator(A3, {"a"}, "b")
+    r2, _ = ga.elementary_conjugator(A3, X1, "c")
+    assert ga.ribbon_decompose(ga.multiply(r2, r1), {"a"}) is not None
+    assert ga.ribbon_decompose(fl(A2, "ab"), {"a"}) is not None
+    assert any(negative) and not all(negative)
+
+
+def test_coset_key_sweeps_a_sequence_that_is_not_left_weighted(monkeypatch):
+    t = ga.table(B3)
+    a, b, w0 = t.gen["a"], t.gen["b"], t.w0i
+    normalize = ga.GarsideTable.normalize
+    swept = []
+
+    def counted(self, d, fs):
+        swept.append(list(fs))
+        return normalize(self, d, fs)
+
+    monkeypatch.setattr(ga.GarsideTable, "normalize", counted)
+    # nothing strips off the trivial parabolic, so each key is a normal form:
+    # a·b is one simple, the identity drops out, and Δ moves to the front
+    for raw in [(0, (a, b)), (0, (a, 0, b)), (1, (b, w0))]:
+        assert t.coset_key(raw, frozenset(), 0) == normalize(t, *raw)
+    assert swept == [[a, b], [a, 0, b], [b, w0]]
+    swept.clear()
+    ab = t.rmul[a][t.rank["b"]]
+    assert t.coset_key((2, (ab, b)), frozenset(), 0) == (2, (ab, b))
+    assert swept == []
+
+
 def _table_against_model(t, model):
     """The table's words, rmul, inv, w0, tau and length against a model."""
     elem = [model.prod(wd) for wd in t.words]
@@ -803,11 +876,12 @@ ga.inverse = lambda x: ga.delta(d, -1) if x.is_identity() else inverse(x)
 ga.in_parabolic = lambda g, X: True
 ga.ribbon_decompose(ga.generator(d, "a"), {"a"})
 """,
-    # canonical forms collapse to the identity once x is built
+    # canonical forms collapse to the identity once x is built, except x's
+    # own, which gate_projection reads first
     "gate and tail lengths must add up to the length of x": """
 from artinkit import coxeter
 x = coxeter.normal_form(d, "ab")
-coxeter.engine(d).canonical = lambda word: ()
+coxeter.engine(d).canonical = lambda word: word if word == x.word else ()
 coxeter.gate_projection(x, {"b"})
 """,
     # inverses come back unchanged, so pair_gate reads the double coset of
