@@ -17,9 +17,12 @@ Y = X_i ∩ X_j, only a chamber whose w is minimal in w·W_Y can be the first
 on an {i, j} edge, so only those look it up. Which children key, copy or
 look up depends only on the list of children, so a plan is made once per
 list; a ball is built in one pass, a sibling group at a time, keeping the
-vertex rows of the previous layer only. A ball keeps the ordinal of each
-edge's first chamber, and each chamber's parent ordinal and last factor, to
-rebuild edge witnesses; coset keys are packed into bytes. No finite ball is
+vertex rows of the previous layer only. The keyed children of one parent
+share one `GarsideTable.coset_keys` call per type. Storage is flat: edges
+are one sorted array of i << 32 | j (i < j), neighbours one array with
+offsets (CSR), and the ordinal of each edge's first chamber, and each
+chamber's parent ordinal and last factor, which rebuild edge witnesses, are
+32-bit arrays; coset keys are packed into bytes. No finite ball is
 complete, so every downstream verdict about a ball is one-sided:
 inner-marked vertices are the ones whose local structure the enumeration
 is known to cover.
@@ -33,12 +36,14 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice, repeat
+from itertools import accumulate, chain, combinations, islice, repeat
+from operator import and_, rshift
 
 from . import dynkin
 from . import garside as ga
 from .errors import (
     BoundTooLarge,
+    CapExceeded,
     InvalidFolding,
     InvariantViolated,
     NotSpherical,
@@ -54,11 +59,35 @@ DOT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BallVertex:
     id: int
     type: str
     witness: ga.GarsideElement
+
+
+class EdgeList:
+    """The sorted edges (i, j), i < j, of a ball, read off its packed array of
+    i << 32 | j: a sequence of pairs, equal to the tuple of them."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, packed):
+        self.packed = packed
+
+    def __len__(self):
+        return len(self.packed)
+
+    def __iter__(self):
+        return map(divmod, self.packed, repeat(1 << 32))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(divmod, self.packed[k], repeat(1 << 32)))
+        return divmod(self.packed[k], 1 << 32)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, EdgeList) else other)
 
 
 class ComplexBall:
@@ -76,27 +105,38 @@ class ComplexBall:
         self.margin = margin
         self.chamber_count = chamber_count
         self.vertices = tuple(vertices)
-        self.edges = edges = tuple(edges)
+        if not isinstance(edges, array):  # pairs in any order, as loaded
+            edges = array("q", sorted({min(i, j) << 32 | max(i, j) for i, j in edges}))
+        self.edges = EdgeList(edges)
         self.inner = frozenset(inner)
         self._edge_witness = edge_witness  # see `_assemble`; None if loaded
         self._keys = keys  # type -> {packed coset key: vertex id}
         self._shift = shift
-        adj = [[] for _ in self.vertices]  # lists: far smaller than sets
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        # sorted unique edges (i < j) list every neighbourhood in order
-        ordered = all(map(operator.lt, edges, edges[1:])) and all(i < j for i, j in edges)
-        self._adj = [tuple(a) if ordered else tuple(sorted(set(a))) for a in adj]
+        # CSR: v's neighbours are _nbrs[_offsets[v]:_offsets[v + 1]], in order,
+        # as an edge (i, j) comes after each (h, j), h < i, and before each (j, k)
+        nv, low = len(self.vertices), (1 << 32) - 1
+        count = Counter(chain(map(rshift, edges, repeat(32)), map(and_, edges, repeat(low))))
+        self._offsets = array("i", accumulate(map(count.__getitem__, range(nv)), initial=0))
+        self._nbrs = nbrs = array("i", bytes(8 * len(edges)))
+        fill, self._nbr_tuples = list(self._offsets), [None] * nv  # tuples made when asked
+        for e in edges:
+            i, j = e >> 32, e & low
+            nbrs[fill[i]], nbrs[fill[j]] = j, i
+            fill[i] += 1
+            fill[j] += 1
 
     def vertex(self, vid):
         return self.vertices[vid]
 
     def neighbors(self, vid):
-        return self._adj[vid]
+        nbrs = self._nbr_tuples[vid]
+        if nbrs is None:
+            v, offsets = vid % len(self._nbr_tuples), self._offsets  # as a list
+            nbrs = self._nbr_tuples[vid] = tuple(self._nbrs[offsets[v]:offsets[v + 1]])
+        return nbrs
 
     def has_edge(self, i, j):
-        return j in self._adj[i]  # a scan of i's neighbours: no edge set
+        return j in self.neighbors(i)  # a scan of i's neighbours: no edge set
 
     def edge_witness(self, i, j):
         """The first enumerated chamber on both vertices of the edge."""
@@ -106,8 +146,9 @@ class ComplexBall:
                 f"edge {e}: a ball loaded from JSON carries no edge witnesses")
         # follow the parent links up from the edge's chamber
         ordinals, parent, last = self._edge_witness
-        k = bisect_left(self.edges, e)
-        if self.edges[k:k + 1] != (e,):
+        packed, edges = e[0] << 32 | e[1], self.edges.packed
+        k = bisect_left(edges, packed)
+        if k == len(edges) or edges[k] != packed:
             raise PreconditionFailed(f"{e} is not an edge of the ball")
         c, fs = ordinals[k], []
         while parent[c] >= 0:
@@ -127,12 +168,12 @@ class ComplexBall:
             for v in self.vertices:
                 key = t.coset_key(v.witness.raw,
                                   self.type_parabolic[v.type], self._shift)
-                self._keys[v.type][_packed(key)] = v.id
+                self._keys[v.type][ga.pack_key(key)] = v.id
         raw = g.raw
         if raw[0] + 2 * self._shift < 0:
             return None
         key = t.coset_key(raw, self.type_parabolic[type_name], self._shift)
-        return self._keys[type_name].get(_packed(key))
+        return self._keys[type_name].get(ga.pack_key(key))
 
     # -- exports ----------------------------------------------------------
 
@@ -162,8 +203,9 @@ class ComplexBall:
 
         # one encoder for every string: json.dumps would build one per call
         enc = json.JSONEncoder(ensure_ascii=False).encode
-        block((f"    [\n      {i},\n      {j}\n    ]" for (i, j) in self.edges),
-              ',\n  "inner": ')
+        low = (1 << 32) - 1
+        block((f"    [\n      {e >> 32},\n      {e & low}\n    ]"
+               for e in self.edges.packed), ',\n  "inner": ')
         block((f"    {i}" for i in sorted(self.inner)), ',\n  "vertices": ')
         block((f'    {{\n      "id": {v.id},\n      "type": {enc(v.type)},\n'
                f'      "witness": {enc(ga.serialize(v.witness))}\n    }}'
@@ -191,26 +233,18 @@ class ComplexBall:
 def ball_from_json(d, blob, type_parabolic=None):
     """Rebuild a ball exported by to_json (plain balls: type s ~ S minus s)."""
     data = json.loads(blob) if isinstance(blob, str) else blob
-    types = []
-    vertices = []
-    for item in data["vertices"]:
-        if item["type"] not in types:
-            types.append(item["type"])
-        vertices.append(BallVertex(
-            id=item["id"], type=item["type"],
-            witness=ga.parse_element(d, item["witness"]),
-        ))
+    vertices = [BallVertex(id=item["id"], type=item["type"],
+                           witness=ga.parse_element(d, item["witness"]))
+                for item in data["vertices"]]
+    types = list(dict.fromkeys(v.type for v in vertices))
     if type_parabolic is None:
         allv = set(d.vertices)
         type_parabolic = {s: frozenset(allv - {s}) for s in types}
-    edges = tuple((min(i, j), max(i, j)) for i, j in data["edges"])
-    bound = data["bound"]
-    sizes = [v.witness.size for v in vertices]
-    eff = max(sizes) if sizes else 0
+    eff = max((v.witness.size for v in vertices), default=0)
     return ComplexBall(
-        ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
+        ambient=d, types=types, type_parabolic=type_parabolic, bound=data["bound"],
         effective_bound=eff, margin=None, chamber_count=None,
-        vertices=vertices, edges=edges, inner=frozenset(data["inner"]),
+        vertices=vertices, edges=data["edges"], inner=frozenset(data["inner"]),
         edge_witness=None, keys={}, shift=(eff + 1) // 2,
     )
 
@@ -295,22 +329,27 @@ def build_folded_ball(folding, types, bound, *, margin=None,
                      folding.target)
 
 
-def _packed(key):
-    """A coset key (d ≥ 0, factors) as bytes, injective: indices are < 2^16."""
-    return array("H", (key[0], *key[1])).tobytes()
+# chamber ordinals and vertex ids are kept in 32-bit signed arrays
+ID_LIMIT = 2 ** 31
 
 
 def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
               type_diagram):
     """Build the ball in one pass over the chamber stream, a sibling group at
     a time (see the module docstring): each group claims the edges between
-    its chambers' vertices that no earlier chamber has, keyed by first-met
-    vertex ids a << 32 | b in type order; the ids are then sorted into their
-    deterministic order and the edges remapped once. edge_witness is (first
-    chamber ordinal per sorted edge, parent ordinal and last factor per
-    chamber, the Δ power for a chamber with no factors)."""
+    its chambers' vertices that no earlier chamber has, as first-met vertex
+    ids a << 32 | b in type order; the ids are then sorted into their
+    deterministic order and the edges renumbered and sorted once. edge_witness
+    is (first chamber ordinal per sorted edge, parent ordinal and last factor
+    per chamber, the Δ power for a chamber with no factors)."""
     t = ga.table(d)
     eff = effective_bound(t, bound, max_chambers)
+    # a sequence of length k stands behind Δ^j for |j| <= eff - k, and a
+    # chamber meets at most one new vertex per type
+    chambers = sum(c * (2 * (eff - k) + 1) for k, c in enumerate(_sequence_counts(t, eff)))
+    for count in (chambers, chambers * len(types)):
+        if count > ID_LIMIT:
+            raise CapExceeded(ID_LIMIT, count)
     if margin is None:
         margin = 2  # twice the canonical size of the full twist
     shift = (eff + 1) // 2
@@ -319,21 +358,31 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
     pairs = list(combinations(range(len(types)), 2))
     pair_minima = [t.enumeration.coset_minima(parabolics[i] & parabolics[j])
                    for i, j in pairs]
-    key, follows, rdesc = t.coset_key, t.follows, t.rdesc
+    key, keys, follows, rdesc = t.coset_key, t.coset_keys, t.follows, t.rdesc
     by_key = [{} for _ in parabolics]
     witness_of = []  # first-met id -> (type position, first chamber on it)
-    parents, last = array("q"), array("q")
-    claimed = {}  # first-met ids a << 32 | b -> ordinal of the edge's first chamber
+    parents, last = array("i"), array("i")
+    claimed = set()  # first-met ids a << 32 | b of the edges met so far
+    claims, ordinals = array("q"), array("i")  # those, and first chambers
 
-    def vertex_ids(i, raws):
-        """Type-i vertex ids of chambers that key it, numbered as first met."""
-        X, keyed, out = parabolics[i], by_key[i], []
-        for raw in raws:
-            k = _packed(key(raw, X, shift))
-            vid = keyed.get(k)
+    def claim(a, b, keyed, first):
+        """Claim each new edge (a[k], b[k]), k in keyed, for chamber first + k."""
+        for k in keyed:
+            e = a[k] << 32 | b[k]
+            if e not in claimed:
+                claimed.add(e)
+                claims.append(e)
+                ordinals.append(first + k)
+
+    def vertex_ids(i, packed, chamber):
+        """Type-i ids of chambers by their packed keys, numbered as first met;
+        chamber(k) makes the k-th chamber, for a new vertex only."""
+        keyed, out = by_key[i], []
+        for k, p in enumerate(packed):
+            vid = keyed.get(p)
             if vid is None:
-                vid = keyed[k] = len(witness_of)
-                witness_of.append((i, raw))
+                vid = keyed[p] = len(witness_of)
+                witness_of.append((i, chamber(k)))
             out.append(vid)
         return out
 
@@ -342,15 +391,15 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
     def plan(kids):
         """Per type, the X-minimal children and a gather of every child's
         vertex from [the parent's, the X-minimal children's] (w^X is the
-        parent or a child, as L(w^X) ⊆ L(w)); per type pair, the Y-minimal
-        children. Children are positions in kids. None when there are none:
-        rank 1 has no proper simples."""
+        parent or a child, as L(w^X) ⊆ L(w)); per type pair, the positions in
+        kids of the Y-minimal children. None when there are none: rank 1 has
+        no proper simples."""
         if not kids:
             return None
         per_type = []
         for rep in minima:
-            keyed = [k for k, w in enumerate(kids) if rep[w] == w]
-            slot = {0: 0, **{kids[k]: pos for pos, k in enumerate(keyed, 1)}}
+            keyed = [w for w in kids if rep[w] == w]
+            slot = {0: 0, **{w: pos for pos, w in enumerate(keyed, 1)}}
             idx = [slot[rep[w]] for w in kids]  # itemgetter(k) is no sequence
             per_type.append((keyed, operator.itemgetter(*idx) if len(idx) > 1
                              else operator.itemgetter(slice(idx[0], idx[0] + 1))))
@@ -364,9 +413,10 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
         for delta in range(-r, r + 1):
             if r == abs(delta):  # no factors: every vertex and edge keyed
                 raw = (delta, ())
-                row = [vertex_ids(i, [raw])[0] for i in range(len(types))]
+                row = [vertex_ids(i, [ga.pack_key(key(raw, X, shift))], lambda k: raw)[0]
+                       for i, X in enumerate(parabolics)]
                 for i, j in pairs:
-                    claimed.setdefault(row[i] << 32 | row[j], n)
+                    claim([row[i]], [row[j]], (0,), n)
                 parents.append(-1)
                 last.append(delta)
                 layer[delta] = (n, [()], [[v] for v in row])
@@ -382,24 +432,23 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
                 if plans[mask] is None:
                     continue
                 kids, per_type, pair_keyed = plans[mask]
-                raws = [(delta, seq + (w,)) for w in kids]
                 group = []
-                for i, (keyed, gather) in enumerate(per_type):
+                for i, (ws, gather) in enumerate(per_type):
                     src = [rows[i][q]]
-                    src += vertex_ids(i, [raws[k] for k in keyed])
+                    src += vertex_ids(i, keys(delta, seq, ws, parabolics[i], shift),
+                                      lambda k: (delta, seq + (ws[k],)))
                     group.append(gather(src))
                 for (i, j), keyed in zip(pairs, pair_keyed):
-                    a, b = group[i], group[j]
-                    for k in keyed:
-                        claimed.setdefault(a[k] << 32 | b[k], n + k)
+                    claim(group[i], group[j], keyed, n)
                 parents.extend(repeat(first + q, len(kids)))
                 last.extend(kids)
                 n += len(kids)
                 if r < eff:  # nothing reads the last layer's chambers
-                    here += [fs for _, fs in raws]
+                    here += [seq + (w,) for w in kids]
                     for keep, row in zip(here_rows, group):
                         keep += row
         prev = layer
+    del claimed, prev, layer
 
     # deterministic ids: sort by (type position, witness size, witness text)
     def sort_key(v):
@@ -414,14 +463,18 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
         i, raw = witness_of[old]
         vertices.append(BallVertex(
             id=new, type=types[i], witness=ga.GarsideElement(t.d, raw)))
+    del order, witness_of
 
-    # new ids grow with the type position, so each edge stays increasing
-    low = (1 << 32) - 1
-    firsts = sorted(claimed, key=lambda e: newid[e >> 32] << 32 | newid[e & low])
-    ordinals = array("q", list(map(claimed.get, firsts)))  # a list: read at C speed
-    del claimed
-    edges = tuple((newid[e >> 32], newid[e & low]) for e in firsts)
-    del firsts  # freed before the neighbour lists are built: a lower peak
+    # new ids grow with the type position, so each edge stays increasing;
+    # below the renumbered edge, its ordinal: one sort orders both
+    low, bits = (1 << 32) - 1, max(n, 2).bit_length()
+    firsts = [(newid[e >> 32] << 32 | newid[e & low]) << bits | c
+              for e, c in zip(claims, ordinals)]
+    del claims
+    firsts.sort()
+    ordinals = array("i", [e & (1 << bits) - 1 for e in firsts])
+    edges = array("q", [e >> bits for e in firsts])
+    del firsts  # freed before the neighbour arrays are built: a lower peak
 
     inner = frozenset(
         v.id for v in vertices if v.witness.size <= eff - margin
@@ -466,13 +519,8 @@ def build_coxeter_complex(d):
             if reps[s][x] == x:
                 vid_of[(s, x)] = len(vertices)
                 vertices.append((len(vertices), s, en.words[x]))
-    edges = set()
-    for x in range(n):
-        row = [vid_of[(s, reps[s][x])] for s in gens]
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                a, b = row[i], row[j]
-                edges.add((min(a, b), max(a, b)))
+    edges = {(min(a, b), max(a, b)) for x in range(n) for a, b in
+             combinations([vid_of[(s, reps[s][x])] for s in gens], 2)}
 
     # Euler characteristic over all simplex dimensions: a k-simplex is a
     # coset of W_{S∖K} with |K| = k+1
@@ -531,20 +579,13 @@ def apartment_cycle(d, types=None, base=None):
             key = (s, reps[s][x])
             vid = vid_of.get(key)
             if vid is None:
-                vid = len(verts)
-                vid_of[key] = vid
+                vid = vid_of[key] = len(verts)
                 lift = ga.GarsideElement(t.d, t.normalize(0, (reps[s][x],)))
-                witness = ga.multiply(base, lift)
-                verts.append((s, witness))
+                verts.append((s, ga.multiply(base, lift)))
             row.append(vid)
         rows.append(row)
-    edges = set()
-    for row in rows:
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                a, b = row[i], row[j]
-                if a != b:
-                    edges.add((min(a, b), max(a, b)))
+    edges = {(min(a, b), max(a, b)) for row in rows
+             for a, b in combinations(row, 2) if a != b}
     if not _distinct_cosets(d, verts):
         raise InvariantViolated("apartment section must be injective")
     return Apartment(
@@ -619,10 +660,7 @@ def folded_comparison(folded_ball, folding, plain_ball):
                 raise InvariantViolated(
                     "comparison image must lie in the plain ball at equal bound")
             image.append(pv)
-        for i in range(len(image)):
-            for j in range(i + 1, len(image)):
-                a, b = image[i], image[j]
-                if not plain_ball.has_edge(a, b):
-                    raise InvariantViolated("comparison image must be a simplex")
+        if not all(plain_ball.has_edge(a, b) for a, b in combinations(image, 2)):
+            raise InvariantViolated("comparison image must be a simplex")
         out[v.id] = tuple(image)
     return out

@@ -27,6 +27,7 @@ spherical type, which the table checks at build time.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import factorial, prod
@@ -128,6 +129,8 @@ class GarsideTable:
         self._cut = {}
         # (X, d) → minimal positive representative of Δ^d·A_X
         self._delta_cosets = {}
+        self._coset_plans = {}  # (X, d) → the shared part of `coset_keys`
+        self._index_bytes = array("H", range(n)).tobytes()  # x at [2x:2x + 2]
 
     def product(self, u, v):
         """u·v in W, by ℓ(v) steps of right multiplication."""
@@ -270,14 +273,63 @@ class GarsideTable:
         d += 2 * shift
         if d < 0:
             raise NotPositive("shift too small for coset key")
+        e, m = self._delta_coset(X, d)
+        seq = [self.tau[f] for f in fs] if (d + e) % 2 else list(fs)
+        seq.extend(m)
+        return self._finish(*self._strip(e, seq, X))
+
+    def coset_keys(self, delta, prefix, kids, X, shift):
+        """`pack_key(coset_key((delta, prefix + (w,)), X, shift))` for each w
+        in kids, each prefix + (w,) normal: the children of one chamber. When
+        Δ^d·A_X = m·A_X with m left-weighted and free of Δ, τ^d(prefix) is
+        twisted and folded once; a child's β (see `_strip`) is that fold
+        carried through τ^d(w), then through m by one row per (X, d). A child
+        with nothing to strip and (τ^d(w), m1) left-weighted is normal: its
+        key is a concatenation. Any other is stripped from its β."""
+        d = delta + 2 * shift
+        if d < 0:
+            raise NotPositive("shift too small for coset key")
+        plan = self._coset_plans.get((X, d), False)
+        if plan is False:
+            e, m = self._delta_coset(X, d)
+            plan = self._coset_plans[(X, d)] = None if e or self.w0i in m or any(
+                self.ldesc[g] & ~self.rdesc[f] for f, g in zip(m, m[1:])
+            ) else ({}, m, array("H", m).tobytes())
+        if not plan:
+            return [pack_key(self.coset_key((delta, prefix + (w,)), X, shift))
+                    for w in kids]
+        row, m, m_bytes = plan  # row: β -> (fold of β through m, its cut)
+        tau = self.tau if d % 2 else None
+        seq = [tau[f] for f in prefix] if tau else list(prefix)
+        head, top = array("H", [0, *seq]).tobytes(), self._fold(0, seq)
+        n, tail, index_bytes = self.n, self._tail, self._index_bytes
+        ldesc, rdesc, lead = self.ldesc, self.rdesc, m[0] if m else 0
+        out = []
+        for w in kids:
+            g = tau[w] if tau else w
+            beta = tail.get(top * n + g)
+            if beta is None:
+                beta = self._fold(top, (g,))
+            bc = row.get(beta)
+            if bc is None:
+                b = self._fold(beta, m)
+                bc = row[beta] = b, self.meet_r(b, self.w0_parabolic(X))
+            if not bc[1] and not ldesc[lead] & ~rdesc[g]:
+                out.append(head + index_bytes[2 * g:2 * g + 2] + m_bytes)
+            else:
+                out.append(pack_key(self._finish(*self._strip(0, [*seq, g, *m], X, bc[0]))))
+        return out
+
+    def _delta_coset(self, X, d):
+        """(e, m): the minimal positive representative Δ^e·m of Δ^d·A_X."""
         rep = self._delta_cosets.get((X, d))
         if rep is None:
             e, m = self._strip(d, [], X)
             rep = self._delta_cosets[(X, d)] = (e, tuple(m))
-        e, m = rep
-        seq = [self.tau[f] for f in fs] if (d + e) % 2 else list(fs)
-        seq.extend(m)
-        e, seq = self._strip(e, seq, X)
+        return rep
+
+    def _finish(self, e, seq):
+        """Normal form of Δ^e·seq: seq itself when every pair is left-weighted."""
         ldesc, rdesc = self.ldesc, self.rdesc
         f = self.w0i  # every simple may follow Δ
         for g in seq:
@@ -286,39 +338,43 @@ class GarsideTable:
             f = g
         return self._absorb(e, seq)
 
-    def _strip(self, d, seq, X):
+    def _fold(self, beta, fs):
+        """The maximal simple right-divisor of β·fs, β simple, folded left to
+        right through `_tail` (a factor 1 leaves it as it is)."""
+        n, tail = self.n, self._tail
+        for f in fs:
+            k = beta * n + f
+            try:
+                beta = tail[k]
+            except KeyError:  # the right factor of the right-weighting
+                beta = tail[k] = (self._right_weighted(f, beta) or (f,))[0]
+        return beta
+
+    def _strip(self, d, seq, X, beta=None):
         """Minimal positive representative of Δ^d·seq·A_X, as (d, factors).
 
         Repeatedly strips the largest right-divisor lying in the positive
         monoid of A_X: the largest right-divisor in W_X of the maximal simple
         right-divisor β of the product. β is Δ while d > 0 (Δx = τ(x)Δ) and is
-        folded over the factors otherwise. Every step reads the flat tables
-        (`_tail`, `_divide`, and the `_cut` row of X), whose entries are
-        computed on first lookup. `seq` is consumed.
+        folded over the factors otherwise, unless given. Every step reads the
+        flat tables (`_tail`, `_divide`, and the `_cut` row of X), whose
+        entries are computed on first lookup. `seq` is consumed.
         """
         cut = self._cut.get(X)
         if cut is None:
             cut = self._cut[X] = [-1] * self.n
-        n, w0, tail, divide = self.n, self.w0i, self._tail, self._divide
+        n, w0, divide = self.n, self.w0i, self._divide
         while True:
             if d:
                 beta = w0
-            elif seq:
-                it = iter(seq)
-                beta = next(it)
-                for f in it:
-                    k = beta * n + f
-                    try:
-                        beta = tail[k]
-                    except KeyError:  # the right factor of the right-weighting
-                        beta = tail[k] = (self._right_weighted(f, beta) or (f,))[0]
-            else:
-                break
+            elif beta is None:
+                beta = self._fold(0, seq)
             c = cut[beta]
             if c < 0:
                 c = cut[beta] = self.meet_r(beta, self.w0_parabolic(X))
             if c == 0:
                 break
+            beta = None
             # divide the sequence by c on the right: walk right-to-left,
             # transporting the pending divisor through each factor via the
             # right-divisibility join (g·c⁻¹ = (j·g⁻¹)⁻¹·(j·c⁻¹), j = c ∨ g)
@@ -385,6 +441,11 @@ def _meet(u, v, desc, strip, grow):
         u, v, out = strip[u][i], strip[v][i], grow[out][i]
         both = desc[u] & desc[v]
     return out
+
+
+def pack_key(key):
+    """A coset key (d ≥ 0, factors) as bytes, injective: indices are < 2^16."""
+    return array("H", (key[0], *key[1])).tobytes()
 
 
 @lru_cache(maxsize=cx.CACHED_DIAGRAMS)

@@ -12,6 +12,7 @@ from artinkit import dynkin
 from artinkit import garside as ga
 from artinkit.errors import (
     BoundTooLarge,
+    CapExceeded,
     InvalidFolding,
     NotSpherical,
     PreconditionFailed,
@@ -131,7 +132,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents):
             if m != w:
                 row.append(rows[kids[m] * n + i])
                 continue
-            k = cpx._packed(key(raw, parabolics[i], shift))
+            k = ga.pack_key(key(raw, parabolics[i], shift))
             vid = by_key[i].get(k)
             if vid is None:
                 vid = by_key[i][k] = len(witness_of)
@@ -337,14 +338,26 @@ def test_every_chamber_gets_the_vertex_of_its_key(name):
 
 
 def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
-    calls = []
-    keyed = ga.GarsideTable.coset_key
+    # the build keys a sibling group through coset_keys, which takes the
+    # children of one chamber; a chamber with no factors calls coset_key
+    calls, inside = [], []
+    keyed, batched = ga.GarsideTable.coset_key, ga.GarsideTable.coset_keys
 
     def counted(self, a, X, shift):
-        calls.append((a, X))
+        if not inside:  # not a fallback of coset_keys for its own children
+            calls.append((a, X))
         return keyed(self, a, X, shift)
 
+    def counted_batch(self, delta, prefix, kids, X, shift):
+        calls.extend(((delta, prefix + (w,)), X) for w in kids)
+        inside.append(True)
+        try:
+            return batched(self, delta, prefix, kids, X, shift)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(ga.GarsideTable, "coset_key", counted)
+    monkeypatch.setattr(ga.GarsideTable, "coset_keys", counted_batch)
     for d, types, bound in ((B3, ["a", "b", "c"], 3), (D4, ["a", "d"], 2)):
         calls.clear()
         ball = cpx.build_ball(d, types, bound)
@@ -360,6 +373,99 @@ def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
         # a sibling group keys its chambers type by type
         assert Counter(calls) == Counter(want)
         assert len(want) < len(types) * ball.chamber_count
+
+
+# -- batched coset keys: one call per sibling group and type -------------------
+
+
+F4 = path("abcd", [3, 4, 3])
+A3_FOLDED = dynkin.quotient_folding(A3, [("a", "c")])
+
+# name -> (diagram, parabolic of each vertex type, effective bound of the ball)
+KEYER_CASES = {
+    "A1": (path("a", []), [frozenset()], 4),
+    "A3": (A3, [frozenset("abc") - {s} for s in "abc"], 4),
+    "B3": (B3, [frozenset("abc") - {s} for s in "abc"], 4),
+    "B3 reversed": (path("cba", [3, 4]), [frozenset("abc") - {s} for s in "abc"], 4),
+    "H3": (H3, [frozenset("abc") - {s} for s in "abc"], 3),
+    "D4": (D4, [frozenset("abcd") - {s} for s in "abcd"], 2),
+    "I2(5)": (I25, [frozenset("ab") - {s} for s in "ab"], 5),
+    "F4 b,d": (F4, [frozenset("abcd") - {s} for s in "bd"], 2),
+    "A3 a+c": (A3, [frozenset("abc") - set(A3_FOLDED.fiber(s)) for s in ("a+c", "b")], 4),
+}
+
+
+def _sibling_groups(t, eff, X):
+    """(Δ power, factors, X-minimal children) of every chamber of a ball of
+    radius eff that has children: those of canonical size below eff."""
+    rep = t.enumeration.coset_minima(X)
+    for delta, seq in _chambers(t, eff - 1):
+        kids = [w for w in (t.follows[seq[-1]] if seq else t.proper) if rep[w] == w]
+        if kids:
+            yield delta, seq, kids
+
+
+@pytest.mark.parametrize("name", list(KEYER_CASES))
+def test_coset_keys_agree_with_coset_key_on_every_keyed_child(name):
+    d, parabolics, eff = KEYER_CASES[name]
+    t = ga.table(d)
+    shift = (eff + 1) // 2
+    children, powers = 0, set()
+    for X in parabolics:
+        for delta, seq, kids in _sibling_groups(t, eff, X):
+            want = [ga.pack_key(t.coset_key((delta, seq + (w,)), X, shift))
+                    for w in kids]
+            assert t.coset_keys(delta, seq, kids, X, shift) == want, (delta, seq, X)
+            children += len(kids)
+            powers.add(delta % 2)
+    assert (children == 0) == (name == "A1")  # rank 1 has no proper simples
+    # τ is not the identity on A3 and I2(5) (on D4 and H3, w0 is central)
+    if name in ("A3", "I2(5)", "A3 a+c"):
+        assert t.tau != list(range(t.n)) and powers == {0, 1}
+
+
+def _batch_and_keys(t, delta, seq, X, shift, monkeypatch):
+    """coset_keys on every child of (delta, seq), the coset_key calls and
+    normalize calls it made, and the keys coset_key gives each child."""
+    kids = t.follows[seq[-1]] if seq else list(t.proper)
+    keyed, normalize, made = ga.GarsideTable.coset_key, ga.GarsideTable.normalize, Counter()
+
+    def counted(name, f):
+        def call(self, *args):
+            made[name] += 1
+            return f(self, *args)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(ga.GarsideTable, "coset_key", counted("coset_key", keyed))
+        m.setattr(ga.GarsideTable, "normalize", counted("normalize", normalize))
+        got = t.coset_keys(delta, seq, kids, X, shift)
+    want = [ga.pack_key(t.coset_key((delta, seq + (w,)), X, shift)) for w in kids]
+    return got, made, want
+
+
+def test_coset_keys_falls_back_without_a_left_weighted_delta_coset(monkeypatch):
+    t = ga.table(B3)
+    a, b, w0 = t.gen["a"], t.gen["b"], t.w0i
+    seq = (t.rmul[b][t.rank["c"]],)  # bc
+    # Δ^d·A_∅ = Δ^d: e = d ≠ 0, so every child goes through coset_key
+    got, made, want = _batch_and_keys(t, 1, seq, frozenset(), 1, monkeypatch)
+    assert got == want and made["coset_key"] == len(want) > 0
+    # a representative m that is not left-weighted, or holds Δ: the same
+    X = frozenset("ab")
+    for m in ((a, b), (b, w0), (w0,)):
+        monkeypatch.setattr(t, "_delta_cosets", {(X, 3): (0, m)})
+        monkeypatch.setattr(t, "_coset_plans", {})
+        got, made, want = _batch_and_keys(t, 1, seq, X, 1, monkeypatch)
+        assert got == want and made["coset_key"] == len(want) > 0, m
+    # a left-weighted m over X = ∅ strips nothing: a child keys by
+    # concatenation when (w, m1) is left-weighted and is swept otherwise
+    monkeypatch.setattr(t, "_delta_cosets", {(frozenset(), 2): (0, (b,))})
+    monkeypatch.setattr(t, "_coset_plans", {})
+    got, made, want = _batch_and_keys(t, 0, seq, frozenset(), 1, monkeypatch)
+    swept = sum(1 for w in t.follows[seq[-1]] if t.ldesc[b] & ~t.rdesc[w])
+    assert got == want and made["coset_key"] == 0
+    assert made["normalize"] == swept and 0 < swept < len(want)
 
 
 def _claim_every_pair(ball):
@@ -421,6 +527,110 @@ def test_edges_and_witnesses_match_claiming_every_pair(name):
         assert ball.edge_witness(j, i).raw == raw
     for v in ball.vertices:
         assert ball.locate(v.witness, v.type) == v.id
+
+
+# -- compact storage against tuple adjacency ------------------------------------
+
+
+def _assert_storage_matches(ball, pairs, seed):
+    """Edges, neighbours and has_edge of the ball against a tuple-adjacency
+    reference built from the edge pairs it was given."""
+    edges = tuple(sorted({(min(i, j), max(i, j)) for i, j in pairs}))
+    adj = {v.id: [] for v in ball.vertices}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    assert len(ball.edges) == len(edges)
+    assert ball.edges == edges and tuple(ball.edges) == edges
+    assert list(iter(ball.edges)) == list(edges)
+    rng = random.Random(seed)
+    for k in rng.sample(range(len(edges)), min(len(edges), 200)) + [-1] * bool(edges):
+        assert ball.edges[k] == edges[k]
+    for cut in (slice(3, 40), slice(None, None, 7), slice(-5, None), slice(9, 2)):
+        assert ball.edges[cut] == edges[cut]
+    if edges:
+        assert ball.edges != edges[1:] and ball.edges != edges[:-1] + ((0, 0),)
+    for v in ball.vertices:
+        assert ball.neighbors(v.id) == tuple(sorted(adj[v.id]))
+        assert ball.neighbors(v.id) is ball.neighbors(v.id)  # kept once made
+    for i, j in edges:
+        assert ball.has_edge(i, j) and ball.has_edge(j, i)
+    present = set(edges)
+    for _ in range(2000):
+        i, j = rng.randrange(len(ball.vertices)), rng.randrange(len(ball.vertices))
+        assert ball.has_edge(i, j) == ((min(i, j), max(i, j)) in present)
+
+
+STORAGE_CASES = {
+    "A1": lambda: cpx.build_ball(path("a", []), "a", 4),
+    "A3": lambda: cpx.build_ball(A3, "abc", 4),
+    "B3": lambda: cpx.build_ball(B3, "abc", 4),
+    "D4 a,d": lambda: cpx.build_ball(D4, "ad", 2),
+    "A3 a+c": lambda: cpx.build_folded_ball(A3_FOLDED, ("a+c", "b"), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(STORAGE_CASES))
+def test_compact_storage_matches_tuple_adjacency(name):
+    ball = STORAGE_CASES[name]()
+    _assert_storage_matches(ball, list(ball.edges), 20)
+    # the same edges loaded from JSON unsorted, reversed and duplicated
+    data = ball.to_json()
+    rng = random.Random(21)
+    pairs = [[j, i] if rng.random() < 0.5 else [i, j] for i, j in data["edges"]]
+    pairs += rng.sample(pairs, len(pairs) // 3)
+    rng.shuffle(pairs)
+    back = cpx.ball_from_json(ball.ambient, {**data, "edges": pairs},
+                              type_parabolic=ball.type_parabolic)
+    _assert_storage_matches(back, pairs, 22)
+    assert back.to_json_str() == ball.to_json_str()
+    if ball.edges:
+        with pytest.raises(PreconditionFailed, match="carries no edge witnesses"):
+            back.edge_witness(*ball.edges[0])
+    # a ball made by hand from a list of pairs, with edges added in any order
+    extra = [(len(ball.vertices) - 1, 0), (1, len(ball.vertices) - 2), (0, 1)]
+    made = cpx.ComplexBall(
+        ambient=ball.ambient, types=ball.types,
+        type_parabolic=ball.type_parabolic, bound=ball.bound,
+        effective_bound=ball.effective_bound, margin=ball.margin,
+        chamber_count=ball.chamber_count, vertices=ball.vertices,
+        edges=extra + list(reversed(ball.edges)), inner=ball.inner,
+        edge_witness={}, keys={}, shift=None)
+    _assert_storage_matches(made, extra + list(ball.edges), 23)
+
+
+def test_edge_witness_refuses_pairs_outside_the_edge_array():
+    b = cpx.build_ball(B3, ["a", "b", "c"], 2)
+    last = len(b.vertices) - 1
+    first, final = b.edges[0], b.edges[-1]
+    for i, j in ((0, 0), (last, last - 1), (first[0], first[1] - 1),
+                 (final[0], final[1] + 1)):
+        if not b.has_edge(i, j):
+            with pytest.raises(PreconditionFailed, match="is not an edge of the ball"):
+                b.edge_witness(i, j)
+    assert b.edge_witness(*final) == b.edge_witness(final[1], final[0])
+    with pytest.raises(PreconditionFailed, match="unknown vertex type"):
+        b.locate(ga.identity(B3), "a+c")
+
+
+def test_ids_that_do_not_fit_32_bits_are_refused_before_enumeration(monkeypatch):
+    # chamber ordinals and vertex ids live in 32-bit arrays; a type may meet
+    # a new vertex at every chamber, so three types need 3·9,457 ids
+    chambers = cpx.build_ball(A3, "abc", 4).chamber_count
+    assert chambers == 9457
+
+    def enumerated(*args):
+        raise AssertionError("a chamber was keyed")
+
+    with monkeypatch.context() as m:
+        m.setattr(ga.GarsideTable, "coset_key", enumerated)
+        for limit, needed in ((chambers - 1, chambers),
+                              (3 * chambers - 1, 3 * chambers)):
+            m.setattr(cpx, "ID_LIMIT", limit)
+            with pytest.raises(CapExceeded, match=f"needs {needed:,} > {limit:,}"):
+                cpx.build_ball(A3, "abc", 4)
+    monkeypatch.setattr(cpx, "ID_LIMIT", 3 * chambers)
+    assert cpx.build_ball(A3, "abc", 4).chamber_count == chambers
 
 
 def test_json_export_matches_json_dumps():
