@@ -22,7 +22,8 @@ share one `GarsideTable.coset_keys` call per type. Storage is flat: edges
 are one sorted array of i << 32 | j (i < j), neighbours one array with
 offsets (CSR), and the ordinal of each edge's first chamber, and each
 chamber's parent ordinal and last factor, which rebuild edge witnesses, are
-32-bit arrays; coset keys are packed into bytes. No finite ball is
+32-bit arrays; coset keys are the bytes `coset_keys` and `coset_key` return,
+and `locate` keys a chamber with the latter. No finite ball is
 complete, so every downstream verdict about a ball is one-sided:
 inner-marked vertices are the ones whose local structure the enumeration
 is known to cover.
@@ -44,6 +45,7 @@ from . import garside as ga
 from .errors import (
     BoundTooLarge,
     CapExceeded,
+    GroupMismatch,
     InvalidFolding,
     InvariantViolated,
     NotSpherical,
@@ -161,6 +163,8 @@ class ComplexBall:
         """Vertex id of the coset g·A_{X(type)}, or None if not in the ball."""
         if type_name not in self.type_parabolic:
             raise PreconditionFailed(f"unknown vertex type {type_name!r}")
+        if g.group is not self.ambient and g.group != self.ambient:
+            raise GroupMismatch("element and ball of different groups")
         t = ga.table(self.ambient)
         if not self._keys:
             # balls rebuilt from JSON carry no keys: derive them once
@@ -168,12 +172,12 @@ class ComplexBall:
             for v in self.vertices:
                 key = t.coset_key(v.witness.raw,
                                   self.type_parabolic[v.type], self._shift)
-                self._keys[v.type][ga.pack_key(key)] = v.id
+                self._keys[v.type][key] = v.id
         raw = g.raw
         if raw[0] + 2 * self._shift < 0:
             return None
         key = t.coset_key(raw, self.type_parabolic[type_name], self._shift)
-        return self._keys[type_name].get(ga.pack_key(key))
+        return self._keys[type_name].get(key)
 
     # -- exports ----------------------------------------------------------
 
@@ -413,7 +417,7 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
         for delta in range(-r, r + 1):
             if r == abs(delta):  # no factors: every vertex and edge keyed
                 raw = (delta, ())
-                row = [vertex_ids(i, [ga.pack_key(key(raw, X, shift))], lambda k: raw)[0]
+                row = [vertex_ids(i, [key(raw, X, shift)], lambda k: raw)[0]
                        for i, X in enumerate(parabolics)]
                 for i, j in pairs:
                     claim([row[i]], [row[j]], (0,), n)

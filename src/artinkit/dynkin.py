@@ -7,8 +7,7 @@ order is significant downstream: it fixes the generator order used for
 ShortLex normal forms, so a diagram is *not* identified with its isomorphism
 class.  `classify` is the isomorphism-invariant view.  It decides the
 spherical or affine type from the shape (cycle, path, or tree with one or
-two branch vertices) and its labels, with no isomorphism search;
-`is_isomorphic` compares two given diagrams.
+two branch vertices) and its labels, with no isomorphism search.
 
 Text format (line oriented, `#` starts a comment, `;` also separates
 statements):
@@ -388,60 +387,6 @@ def _walk(adj, prev, cur):
         prev, cur = cur, next(w for w in adj[cur] if w != prev)
         labels.append(adj[prev][cur])
     return tuple(labels)
-
-
-def _degree_label_signature(d):
-    degs = sorted(d.degree(v) for v in d.vertices)
-    labels = sorted(m for (_, _, m) in d.edges)
-    return degs, labels
-
-
-def is_isomorphic(d1, d2):
-    """Label-preserving graph isomorphism (backtracking; fine below ~12 vertices)."""
-    if d1.rank != d2.rank or len(d1.edges) != len(d2.edges):
-        return False
-    if _degree_label_signature(d1) != _degree_label_signature(d2):
-        return False
-    # order d1 vertices to keep the search connected where possible
-    order = []
-    seen = set()
-    for start in sorted(d1.vertices, key=lambda v: -d1.degree(v)):
-        if start in seen:
-            continue
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            order.append(x)
-            stack.extend(d1.neighbors(x))
-
-    def extend(mapping, used, i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in d2.vertices:
-            if w in used:
-                continue
-            if d1.degree(v) != d2.degree(w):
-                continue
-            ok = True
-            for u, x in mapping.items():
-                if d1.label(v, u) != d2.label(w, x):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(mapping, used, i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend({}, set(), 0)
 
 
 def classify(d):

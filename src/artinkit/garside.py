@@ -15,9 +15,14 @@ are read as np-forms are read off the left one. An inverse is the reversed
 complements ∂f = f⁻¹·Δ, already normal (Epstein et al., Word Processing in
 Groups, ch. 9). Gcd and lcm are fractions (Dehornoy et al., Foundations of
 Garside Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ coprime, x ∧ y =
-x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike. The pair
-steps and `coset_key` read flat tables keyed by u·|W| + v, each entry made
-on its first lookup, so time and memory follow the pairs met, not |W|².
+x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
+
+A coset key is the packed normal form of the minimal positive representative
+of g·A_X. `GarsideTable.coset_keys` is the one keyer, over the children of
+one chamber and a plan made once per (X, Δ power); `coset_key` is its
+one-child case. The pair steps and the keyer read flat tables keyed by
+u·|W| + v, each entry made on its first lookup, so time and memory follow
+the pairs met, not |W|².
 
 Conventions: inf(x) = delta_power, sup(x) = delta_power + number of factors,
 size(x) = |delta_power| + number of factors (the canonical size used for
@@ -127,8 +132,6 @@ class GarsideTable:
         self._divide = {}  # (j·u⁻¹, j·v⁻¹) for j = u ∨_R v
         # X → row of meet_r(x, Δ_X), the largest right-divisor of x in W_X
         self._cut = {}
-        # (X, d) → minimal positive representative of Δ^d·A_X
-        self._delta_cosets = {}
         self._coset_plans = {}  # (X, d) → the shared part of `coset_keys`
         self._index_bytes = array("H", range(n)).tobytes()  # x at [2x:2x + 2]
 
@@ -258,51 +261,37 @@ class GarsideTable:
         return self.raw_multiply(self.raw_inverse(a), pos), pos
 
     def coset_key(self, a, X, shift):
-        """Canonical token of the left coset a·A_X, comparable for a fixed shift.
-
-        Requires Δ^(2·shift)·a positive and X a frozenset of generators. The
-        token is the normal form of the unique minimal positive representative
-        of the shifted coset (Godelle, J. Algebra 2007). The Δ power is moved
-        out of the way first: Δ^d·x = τ^d(x)·Δ^d, and Δ^d·A_X = Δ^e·m·A_X
-        for the minimal representative Δ^e·m of Δ^d·A_X, cached per (X, d).
-        What is left, τ^(d+e)(x)·m, goes through `_strip`, and is swept only
-        if some pair is not left-weighted or some factor is 1 (ch. 9 of Epstein
-        et al.: left-weighted pairs make a normal form).
-        """
-        d, fs = a
-        d += 2 * shift
-        if d < 0:
-            raise NotPositive("shift too small for coset key")
-        e, m = self._delta_coset(X, d)
-        seq = [self.tau[f] for f in fs] if (d + e) % 2 else list(fs)
-        seq.extend(m)
-        return self._finish(*self._strip(e, seq, X))
+        """Canonical token of the left coset a·A_X as bytes, comparable for a
+        fixed shift: a is any (Δ power, simples) with Δ^(2·shift)·a positive,
+        and X a frozenset of generators. a is normalized, then keyed by
+        `coset_keys` as the one child of its last factor; with no factors the
+        key is that of Δ^(d + 2·shift)·A_X."""
+        d, fs = self.normalize(*a)
+        if fs:
+            return self.coset_keys(d, fs[:-1], fs[-1:], X, shift)[0]
+        return self._coset_plan(X, d + 2 * shift)[2]
 
     def coset_keys(self, delta, prefix, kids, X, shift):
-        """`pack_key(coset_key((delta, prefix + (w,)), X, shift))` for each w
-        in kids, each prefix + (w,) normal: the children of one chamber. When
-        Δ^d·A_X = m·A_X with m left-weighted and free of Δ, τ^d(prefix) is
-        twisted and folded once; a child's β (see `_strip`) is that fold
-        carried through τ^d(w), then through m by one row per (X, d). A child
-        with nothing to strip and (τ^d(w), m1) left-weighted is normal: its
-        key is a concatenation. Any other is stripped from its β."""
+        """`coset_key((delta, prefix + (w,)), X, shift)` for each w in kids,
+        each prefix + (w,) normal: the children of one chamber.
+
+        The token is the normal form of the unique minimal positive
+        representative of the shifted coset (Godelle, J. Algebra 2007), packed
+        as 16-bit words: table indices are below `MAX_TABLE` < 2^16. With
+        d = delta + 2·shift and Δ^e·m the representative of Δ^d·A_X (see
+        `_coset_plan`), Δ^d·x·A_X = Δ^e·τ^(d+e)(x)·m·A_X. So τ^(d+e)(prefix)
+        is twisted and folded once; a child's β (see `_strip`) is that fold
+        carried through τ^(d+e)(w), then through m by one row per (X, d). A
+        child with nothing to strip and (τ^(d+e)(w), m1) left-weighted is
+        normal: its key is a concatenation. Any other is stripped from its β
+        and finished by `_finish`.
+        """
         d = delta + 2 * shift
-        if d < 0:
-            raise NotPositive("shift too small for coset key")
-        plan = self._coset_plans.get((X, d), False)
-        if plan is False:
-            e, m = self._delta_coset(X, d)
-            plan = self._coset_plans[(X, d)] = None if e or self.w0i in m or any(
-                self.ldesc[g] & ~self.rdesc[f] for f, g in zip(m, m[1:])
-            ) else ({}, m, array("H", m).tobytes())
-        if not plan:
-            return [pack_key(self.coset_key((delta, prefix + (w,)), X, shift))
-                    for w in kids]
-        row, m, m_bytes = plan  # row: β -> (fold of β through m, its cut)
-        tau = self.tau if d % 2 else None
+        e, m, key, row = self._coset_plan(X, d)  # row: β -> (fold through m, its cut)
+        tau = self.tau if (d + e) % 2 else None
         seq = [tau[f] for f in prefix] if tau else list(prefix)
-        head, top = array("H", [0, *seq]).tobytes(), self._fold(0, seq)
-        n, tail, index_bytes = self.n, self._tail, self._index_bytes
+        head, top = array("H", [e, *seq]).tobytes(), self._fold(0, seq)
+        n, tail, index_bytes, m_bytes = self.n, self._tail, self._index_bytes, key[2:]
         ldesc, rdesc, lead = self.ldesc, self.rdesc, m[0] if m else 0
         out = []
         for w in kids:
@@ -317,19 +306,36 @@ class GarsideTable:
             if not bc[1] and not ldesc[lead] & ~rdesc[g]:
                 out.append(head + index_bytes[2 * g:2 * g + 2] + m_bytes)
             else:
-                out.append(pack_key(self._finish(*self._strip(0, [*seq, g, *m], X, bc[0]))))
+                k, fs = self._finish(e, self._strip([*seq, g, *m], X, bc[0]))
+                out.append(array("H", (k, *fs)).tobytes())
         return out
 
-    def _delta_coset(self, X, d):
-        """(e, m): the minimal positive representative Δ^e·m of Δ^d·A_X."""
-        rep = self._delta_cosets.get((X, d))
-        if rep is None:
-            e, m = self._strip(d, [], X)
-            rep = self._delta_cosets[(X, d)] = (e, tuple(m))
-        return rep
+    def _coset_plan(self, X, d):
+        """(e, m, packed Δ^e·m, {}): the normal form Δ^e·m of the minimal
+        positive representative of Δ^d·A_X, cached per (X, d) with the β row
+        that `coset_keys` fills.
+
+        With ρ = `lcomp`[Δ_X], Δ = ρ·Δ_X, so Δ·A_X = ρ·A_X, and Δ^k·y =
+        τ^k(y)·Δ^k gives Δ^d·A_X = τ^(d−1)(ρ)⋯τ(ρ)·ρ·A_X, which `_strip`
+        reduces. For X = ∅, ρ = Δ: e = d and m = (). For X ≠ ∅, e = 0: were
+        the representative x = Δ·y, then x·A_X = τ(y)·Δ·A_X = τ(y)·ρ·A_X,
+        and τ(y)·ρ is positive and shorter than x by ℓ(Δ_X) > 0.
+        """
+        if d < 0:
+            raise NotPositive("shift too small for coset key")
+        plan = self._coset_plans.get((X, d))
+        if plan is None:
+            rho, tau = self.lcomp[self.w0_parabolic(X)], self.tau
+            e, m = self._finish(0, self._strip(
+                [tau[rho] if k % 2 else rho for k in range(d - 1, -1, -1)], X))
+            if X and e:
+                raise InvariantViolated("minimal coset representative holds Δ")
+            plan = self._coset_plans[(X, d)] = e, m, array("H", (e, *m)).tobytes(), {}
+        return plan
 
     def _finish(self, e, seq):
-        """Normal form of Δ^e·seq: seq itself when every pair is left-weighted."""
+        """Normal form of Δ^e·seq: seq itself when every pair is left-weighted
+        and no factor is 1 (ch. 9 of Epstein et al.), swept otherwise."""
         ldesc, rdesc = self.ldesc, self.rdesc
         f = self.w0i  # every simple may follow Δ
         for g in seq:
@@ -350,30 +356,28 @@ class GarsideTable:
                 beta = tail[k] = (self._right_weighted(f, beta) or (f,))[0]
         return beta
 
-    def _strip(self, d, seq, X, beta=None):
-        """Minimal positive representative of Δ^d·seq·A_X, as (d, factors).
+    def _strip(self, seq, X, beta=None):
+        """Minimal positive representative of seq·A_X, as a list of simples.
 
         Repeatedly strips the largest right-divisor lying in the positive
         monoid of A_X: the largest right-divisor in W_X of the maximal simple
-        right-divisor β of the product. β is Δ while d > 0 (Δx = τ(x)Δ) and is
-        folded over the factors otherwise, unless given. Every step reads the
-        flat tables (`_tail`, `_divide`, and the `_cut` row of X), whose
-        entries are computed on first lookup. `seq` is consumed.
+        right-divisor β of the product, folded over the factors unless given.
+        Every step reads the flat tables (`_tail`, `_divide`, and the `_cut`
+        row of X), whose entries are computed on first lookup. `seq` is
+        consumed.
         """
         cut = self._cut.get(X)
         if cut is None:
             cut = self._cut[X] = [-1] * self.n
-        n, w0, divide = self.n, self.w0i, self._divide
+        n, divide = self.n, self._divide
         while True:
-            if d:
-                beta = w0
-            elif beta is None:
+            if beta is None:
                 beta = self._fold(0, seq)
             c = cut[beta]
             if c < 0:
                 c = cut[beta] = self.meet_r(beta, self.w0_parabolic(X))
             if c == 0:
-                break
+                return seq
             beta = None
             # divide the sequence by c on the right: walk right-to-left,
             # transporting the pending divisor through each factor via the
@@ -388,14 +392,9 @@ class GarsideTable:
                     step = divide[k] = self._division_step(c, seq[i])
                 seq[i], c = step
             if c:
-                # the divisor reached the leading Δ^d: Δ·c⁻¹ stays positive
-                if not d:
-                    raise InvariantViolated("divisor did not divide out")
-                d -= 1
-                seq.insert(0, self.lcomp[c])
+                raise InvariantViolated("divisor did not divide out")
             if 0 in seq:
                 seq = [f for f in seq if f != 0]
-        return d, seq
 
     # -- entries of the flat tables --------------------------------------
 
@@ -441,11 +440,6 @@ def _meet(u, v, desc, strip, grow):
         u, v, out = strip[u][i], strip[v][i], grow[out][i]
         both = desc[u] & desc[v]
     return out
-
-
-def pack_key(key):
-    """A coset key (d ≥ 0, factors) as bytes, injective: indices are < 2^16."""
-    return array("H", (key[0], *key[1])).tobytes()
 
 
 @lru_cache(maxsize=cx.CACHED_DIAGRAMS)

@@ -6,16 +6,17 @@ lengths from BFS distance in the Cayley graph, lattice facts from brute-force
 divisor enumeration over those models, and (for the smallest instances) word
 equality in the Artin monoid from exhaustive rewriting with the defining
 relations only. Diagram classes come from the spherical and affine catalogs
-matched by `dynkin.is_isomorphic`, a backtracking search that
+matched by `is_isomorphic`, a backtracking search that
 `dynkin.classify` does not use; the diagrams themselves are built with the
 package's constructors. Agreement between the package and these models is
 what the frozen constants in the test suite certify.
 """
 
+from array import array
 from fractions import Fraction
 from itertools import combinations
 
-from artinkit.dynkin import DynkinDiagram, cycle_diagram, is_isomorphic, path_diagram
+from artinkit.dynkin import DynkinDiagram, cycle_diagram, path_diagram
 
 
 # -- generic finite group scaffolding ---------------------------------------
@@ -745,12 +746,52 @@ class FixpointGarside:
         return self.multiply(x, u)
 
     def coset_key(self, a, X, shift):
+        """Normal form of the minimal positive representative of the coset
+        Δ^(2·shift)·a·A_X: Δ^d·A_X = Δ^e·m·A_X, then τ^(d+e)(a)·m stripped."""
         t = self.t
         d, fs = a
         d += 2 * shift
-        e, m = t._strip(d, [], X)
+        e, m = strip_reference(t, d, [], X)
         seq = [t.tau[f] for f in fs] if (d + e) % 2 else list(fs)
-        return self.normalize(*t._strip(e, seq + m, X))
+        return self.normalize(*strip_reference(t, e, seq + m, X))
+
+
+def strip_reference(t, d, seq, X):
+    """Minimal positive representative of Δ^d·seq·A_X over the table t, as
+    (Δ power, factors), for any simples seq: the referee of the package's
+    coset keys.
+
+    Repeatedly strips the largest right-divisor lying in the positive monoid
+    of A_X: the largest right-divisor in W_X of the maximal simple
+    right-divisor β of the product. β is Δ while d > 0 (Δ·x = τ(x)·Δ) and is
+    folded over the factors otherwise. The divisor is carried right to left
+    through the factors by the right-divisibility join; what reaches a
+    leading Δ leaves Δ·c⁻¹ in its place. Every step reads the table's meets
+    and products, never its lazily filled flat tables.
+    """
+    seq, w0x = list(seq), t.w0_parabolic(X)
+    while True:
+        beta = t.w0i if d else 0
+        for f in seq if not d else ():
+            beta = (t._right_weighted(f, beta) or (f,))[0]
+        c = t.meet_r(beta, w0x)
+        if c == 0:
+            return d, seq
+        i = len(seq)
+        while c and i:
+            i -= 1
+            seq[i], c = t._division_step(c, seq[i])
+        if c:
+            assert d, "divisor did not divide out"
+            d -= 1
+            seq.insert(0, t.lcomp[c])
+        seq = [f for f in seq if f != 0]
+
+
+def pack_key(raw):
+    """A coset key (Δ power ≥ 0, factors) packed as `GarsideTable.coset_key`
+    returns it: 16-bit words, injective as table indices are below 2^16."""
+    return array("H", (raw[0], *raw[1])).tobytes()
 
 
 # -- colored graph isomorphism -------------------------------------------------
@@ -919,6 +960,60 @@ def affine_entries(k):
     if n == 2:
         out.append(("AffG(2)", _path([6, 3])))
     return out
+
+
+def _degree_label_signature(d):
+    degs = sorted(d.degree(v) for v in d.vertices)
+    labels = sorted(m for (_, _, m) in d.edges)
+    return degs, labels
+
+
+def is_isomorphic(d1, d2):
+    """Label-preserving graph isomorphism (backtracking; fine below ~12 vertices)."""
+    if d1.rank != d2.rank or len(d1.edges) != len(d2.edges):
+        return False
+    if _degree_label_signature(d1) != _degree_label_signature(d2):
+        return False
+    # order d1 vertices to keep the search connected where possible
+    order = []
+    seen = set()
+    for start in sorted(d1.vertices, key=lambda v: -d1.degree(v)):
+        if start in seen:
+            continue
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            order.append(x)
+            stack.extend(d1.neighbors(x))
+
+    def extend(mapping, used, i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in d2.vertices:
+            if w in used:
+                continue
+            if d1.degree(v) != d2.degree(w):
+                continue
+            ok = True
+            for u, x in mapping.items():
+                if d1.label(v, u) != d2.label(w, x):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[v] = w
+            used.add(w)
+            if extend(mapping, used, i + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    return extend({}, set(), 0)
 
 
 def catalog_classify(d):

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from artinkit import complexes as cpx
 from artinkit import coxeter as cx
 from artinkit import dynkin
@@ -13,6 +14,7 @@ from artinkit import garside as ga
 from artinkit.errors import (
     BoundTooLarge,
     CapExceeded,
+    GroupMismatch,
     InvalidFolding,
     NotSpherical,
     PreconditionFailed,
@@ -132,7 +134,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents):
             if m != w:
                 row.append(rows[kids[m] * n + i])
                 continue
-            k = ga.pack_key(key(raw, parabolics[i], shift))
+            k = key(raw, parabolics[i], shift)
             vid = by_key[i].get(k)
             if vid is None:
                 vid = by_key[i][k] = len(witness_of)
@@ -339,27 +341,25 @@ def test_every_chamber_gets_the_vertex_of_its_key(name):
 
 def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
     # the build keys a sibling group through coset_keys, which takes the
-    # children of one chamber; a chamber with no factors calls coset_key
-    calls, inside = [], []
+    # children of one chamber; a chamber with no factors calls coset_key,
+    # whose key is its plan's and calls nothing else
+    calls, plain = [], []
     keyed, batched = ga.GarsideTable.coset_key, ga.GarsideTable.coset_keys
 
     def counted(self, a, X, shift):
-        if not inside:  # not a fallback of coset_keys for its own children
-            calls.append((a, X))
+        calls.append((a, X))
+        plain.append(a)
         return keyed(self, a, X, shift)
 
     def counted_batch(self, delta, prefix, kids, X, shift):
         calls.extend(((delta, prefix + (w,)), X) for w in kids)
-        inside.append(True)
-        try:
-            return batched(self, delta, prefix, kids, X, shift)
-        finally:
-            inside.pop()
+        return batched(self, delta, prefix, kids, X, shift)
 
     monkeypatch.setattr(ga.GarsideTable, "coset_key", counted)
     monkeypatch.setattr(ga.GarsideTable, "coset_keys", counted_batch)
     for d, types, bound in ((B3, ["a", "b", "c"], 3), (D4, ["a", "d"], 2)):
         calls.clear()
+        plain.clear()
         ball = cpx.build_ball(d, types, bound)
         t = ga.table(d)
         eng = cx.engine(d)
@@ -372,6 +372,8 @@ def test_coset_key_runs_once_per_reduced_last_factor(monkeypatch):
                     want.append((raw, X))
         # a sibling group keys its chambers type by type
         assert Counter(calls) == Counter(want)
+        assert len(plain) == len(types) * (2 * ball.effective_bound + 1)
+        assert all(not fs for _, fs in plain)
         assert len(want) < len(types) * ball.chamber_count
 
 
@@ -413,8 +415,7 @@ def test_coset_keys_agree_with_coset_key_on_every_keyed_child(name):
     children, powers = 0, set()
     for X in parabolics:
         for delta, seq, kids in _sibling_groups(t, eff, X):
-            want = [ga.pack_key(t.coset_key((delta, seq + (w,)), X, shift))
-                    for w in kids]
+            want = [t.coset_key((delta, seq + (w,)), X, shift) for w in kids]
             assert t.coset_keys(delta, seq, kids, X, shift) == want, (delta, seq, X)
             children += len(kids)
             powers.add(delta % 2)
@@ -424,9 +425,9 @@ def test_coset_keys_agree_with_coset_key_on_every_keyed_child(name):
         assert t.tau != list(range(t.n)) and powers == {0, 1}
 
 
-def _batch_and_keys(t, delta, seq, X, shift, monkeypatch):
-    """coset_keys on every child of (delta, seq), the coset_key calls and
-    normalize calls it made, and the keys coset_key gives each child."""
+def _batch(t, delta, seq, X, shift, monkeypatch):
+    """The children of (delta, seq), their keys by coset_keys, and the
+    coset_key and normalize calls that made."""
     kids = t.follows[seq[-1]] if seq else list(t.proper)
     keyed, normalize, made = ga.GarsideTable.coset_key, ga.GarsideTable.normalize, Counter()
 
@@ -440,32 +441,27 @@ def _batch_and_keys(t, delta, seq, X, shift, monkeypatch):
         m.setattr(ga.GarsideTable, "coset_key", counted("coset_key", keyed))
         m.setattr(ga.GarsideTable, "normalize", counted("normalize", normalize))
         got = t.coset_keys(delta, seq, kids, X, shift)
-    want = [ga.pack_key(t.coset_key((delta, seq + (w,)), X, shift)) for w in kids]
-    return got, made, want
+    return kids, got, made
 
 
 def test_coset_keys_falls_back_without_a_left_weighted_delta_coset(monkeypatch):
     t = ga.table(B3)
-    a, b, w0 = t.gen["a"], t.gen["b"], t.w0i
+    b = t.gen["b"]
     seq = (t.rmul[b][t.rank["c"]],)  # bc
-    # Δ^d·A_∅ = Δ^d: e = d ≠ 0, so every child goes through coset_key
-    got, made, want = _batch_and_keys(t, 1, seq, frozenset(), 1, monkeypatch)
-    assert got == want and made["coset_key"] == len(want) > 0
-    # a representative m that is not left-weighted, or holds Δ: the same
-    X = frozenset("ab")
-    for m in ((a, b), (b, w0), (w0,)):
-        monkeypatch.setattr(t, "_delta_cosets", {(X, 3): (0, m)})
-        monkeypatch.setattr(t, "_coset_plans", {})
-        got, made, want = _batch_and_keys(t, 1, seq, X, 1, monkeypatch)
-        assert got == want and made["coset_key"] == len(want) > 0, m
+    # Δ^d·A_∅ = Δ^d: e = d = 3 and m = (), so each child is keyed as it
+    # stands, Δ^3·bc·w, by concatenation
+    kids, got, made = _batch(t, 1, seq, frozenset(), 1, monkeypatch)
+    assert got == [oracles.pack_key((3, seq + (w,))) for w in kids]
+    assert not made
     # a left-weighted m over X = ∅ strips nothing: a child keys by
     # concatenation when (w, m1) is left-weighted and is swept otherwise
-    monkeypatch.setattr(t, "_delta_cosets", {(frozenset(), 2): (0, (b,))})
-    monkeypatch.setattr(t, "_coset_plans", {})
-    got, made, want = _batch_and_keys(t, 0, seq, frozenset(), 1, monkeypatch)
-    swept = sum(1 for w in t.follows[seq[-1]] if t.ldesc[b] & ~t.rdesc[w])
-    assert got == want and made["coset_key"] == 0
-    assert made["normalize"] == swept and 0 < swept < len(want)
+    plan = (0, (b,), oracles.pack_key((0, (b,))), {})
+    monkeypatch.setattr(t, "_coset_plans", {(frozenset(), 2): plan})
+    kids, got, made = _batch(t, 0, seq, frozenset(), 1, monkeypatch)
+    swept = sum(1 for w in kids if t.ldesc[b] & ~t.rdesc[w])
+    assert got == [oracles.pack_key(t.normalize(0, seq + (w, b))) for w in kids]
+    assert made["coset_key"] == 0
+    assert made["normalize"] == swept and 0 < swept < len(kids)
 
 
 def _claim_every_pair(ball):
@@ -611,6 +607,15 @@ def test_edge_witness_refuses_pairs_outside_the_edge_array():
     assert b.edge_witness(*final) == b.edge_witness(final[1], final[0])
     with pytest.raises(PreconditionFailed, match="unknown vertex type"):
         b.locate(ga.identity(B3), "a+c")
+
+
+def test_locate_refuses_an_element_of_another_group():
+    # B3's "abcb" is index 18, which an A3 ball would read as its own element
+    b = cpx.build_ball(A3, "abc", 3)
+    with pytest.raises(GroupMismatch, match="different groups"):
+        b.locate(ga.from_letters(B3, "abcb"), "a")
+    # an equal diagram built again is the same group
+    assert b.locate(ga.from_letters(path("abc", [3, 3]), "abcb"), "a") is not None
 
 
 def test_ids_that_do_not_fit_32_bits_are_refused_before_enumeration(monkeypatch):

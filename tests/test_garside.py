@@ -21,6 +21,7 @@ from artinkit.errors import (
     PreconditionFailed,
 )
 
+A1 = dy.DynkinDiagram(("a",), ())
 A2 = dy.diagram("ab", [("a", "b", 3)])
 A3 = dy.path_diagram("abc", [3, 3])
 B3 = dy.path_diagram("abc", [4, 3])
@@ -332,7 +333,7 @@ def test_sweep_against_fixpoint_reference(d, items, make, checked):
             assert (raw(f.neg), raw(f.pos)) == want, side
         X = rng.choice(subsets)
         shift = max(0, -rx[0] + 1) // 2 + rng.randint(0, 1)
-        assert t.coset_key(rx, X, shift) == ref.coset_key(rx, X, shift)
+        assert t.coset_key(rx, X, shift) == oracles.pack_key(ref.coset_key(rx, X, shift))
         # unnormalized input: Δ and identity factors anywhere in the middle
         k = rng.randint(-3, 3)
         fs = [rng.choice((0, t.w0i, rng.randrange(t.n), rng.randrange(t.n)))
@@ -706,12 +707,13 @@ def test_rank4_against_garside_oracle(d, make):
 
 
 def _swept_coset_key(t, a, X, shift):
-    """`coset_key` with every stripped sequence swept into normal form."""
+    """`coset_key` with every sequence stripped by the referee and swept into
+    normal form."""
     d, fs = a
     d += 2 * shift
-    e, m = t._strip(d, [], X)
+    e, m = oracles.strip_reference(t, d, [], X)
     seq = [t.tau[f] for f in fs] if (d + e) % 2 else list(fs)
-    return t.normalize(*t._strip(e, seq + m, X))
+    return oracles.pack_key(t.normalize(*oracles.strip_reference(t, e, seq + m, X)))
 
 
 @pytest.mark.parametrize("d", [A3, B3, H3, D4, F4],
@@ -753,6 +755,27 @@ def test_coset_key_callers_agree_with_the_sweep(monkeypatch):
     assert any(negative) and not all(negative)
 
 
+@pytest.mark.parametrize("d", [A1, A3, B3, D4, F4, H3],
+                         ids=["A1", "A3", "B3", "D4", "F4", "H3"])
+def test_coset_plan_is_the_delta_free_minimal_representative(d):
+    # Δ^k·A_X = Δ^e·m·A_X: e = k and m = () off the trivial parabolic,
+    # otherwise e = 0 and m a normal form with no Δ and no identity
+    t = ga.table(d)
+    ref = oracles.FixpointGarside(t)
+    gens = d.vertices
+    for X in (frozenset(c) for r in range(len(gens) + 1)
+              for c in itertools.combinations(gens, r)):
+        for k in range(9):
+            e, m, key, _ = t._coset_plan(X, k)
+            if X:
+                assert e == 0 and t.w0i not in m and 0 not in m, (X, k)
+                assert all(t.is_normal(f, g) for f, g in zip(m, m[1:])), (X, k)
+            else:
+                assert (e, m) == (k, ())
+            assert key == t.coset_key((k, ()), X, 0) == oracles.pack_key(
+                ref.coset_key((k, ()), X, 0)), (X, k)
+
+
 def test_coset_key_sweeps_a_sequence_that_is_not_left_weighted(monkeypatch):
     t = ga.table(B3)
     a, b, w0 = t.gen["a"], t.gen["b"], t.w0i
@@ -767,12 +790,13 @@ def test_coset_key_sweeps_a_sequence_that_is_not_left_weighted(monkeypatch):
     # nothing strips off the trivial parabolic, so each key is a normal form:
     # a·b is one simple, the identity drops out, and Δ moves to the front
     for raw in [(0, (a, b)), (0, (a, 0, b)), (1, (b, w0))]:
-        assert t.coset_key(raw, frozenset(), 0) == normalize(t, *raw)
+        assert t.coset_key(raw, frozenset(), 0) == oracles.pack_key(normalize(t, *raw))
     assert swept == [[a, b], [a, 0, b], [b, w0]]
     swept.clear()
+    # a normal input is swept once, on the way in, and its key is its bytes
     ab = t.rmul[a][t.rank["b"]]
-    assert t.coset_key((2, (ab, b)), frozenset(), 0) == (2, (ab, b))
-    assert swept == []
+    assert t.coset_key((2, (ab, b)), frozenset(), 0) == oracles.pack_key((2, (ab, b)))
+    assert swept == [[ab, b]]
 
 
 def _table_against_model(t, model):
@@ -824,6 +848,12 @@ def test_word_and_fuzz_reach_h4_and_e6(name, tmp_path, capsys):
 # must end in InvariantViolated, with the given message, even with
 # assertions stripped by `python -O`.
 CORRUPTIONS = {
+    # Δ_X claimed trivial for every X, so ρ = Δ: the representative of
+    # Δ²·A_{a,b} comes out as Δ² itself
+    "minimal coset representative holds Δ": """
+t.w0_parabolic = lambda X: 0
+t.coset_key((0, ()), frozenset("ab"), 1)
+""",
     "divisor did not divide out": """
 # every division step claims the divisor passes through untouched
 t._divide.update({c * t.n + g: (g, c)
