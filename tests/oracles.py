@@ -767,13 +767,17 @@ def strip_reference(t, d, seq, X):
     folded over the factors otherwise. The divisor is carried right to left
     through the factors by the right-divisibility join; what reaches a
     leading Δ leaves Δ·c⁻¹ in its place. Every step reads the table's meets
-    and products, never its lazily filled flat tables.
+    and products, through its right-weighting and division steps, never its
+    lazily filled flat tables.
     """
     seq, w0x = list(seq), t.w0_parabolic(X)
     while True:
-        beta = t.w0i if d else 0
-        for f in seq if not d else ():
-            beta = (t._right_weighted(f, beta) or (f,))[0]
+        if d:
+            beta = t.w0i
+        else:  # the right factor of each right-weighting
+            beta = 0
+            for f in seq:
+                beta = (t._right_weighted(f, beta) or (f,))[0]
         c = t.meet_r(beta, w0x)
         if c == 0:
             return d, seq
