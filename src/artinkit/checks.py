@@ -158,14 +158,13 @@ def find_induced_4cycles(ball, max_cycles=DEFAULT_MAX_CYCLES):
     cycles = []
     truncated = False
     for x1 in inner:
-        above = {v for v in nbrs if v > x1}
         # candidate opposite vertices share two neighbors with x1
         seconds = {}
         for y in sorted(nbrs[x1]):
             if y <= x1:
                 continue
             for x2 in sorted(nbrs[y]):
-                if x2 > x1 and x2 not in nbrs[x1] and x2 in above:
+                if x2 > x1 and x2 not in nbrs[x1]:
                     seconds.setdefault(x2, []).append(y)
         for x2 in sorted(seconds):
             ys = seconds[x2]
@@ -174,8 +173,6 @@ def find_induced_4cycles(ball, max_cycles=DEFAULT_MAX_CYCLES):
                     y1, y2 = ys[i], ys[j]
                     if y2 in nbrs[y1]:
                         continue  # diagonal present: not induced
-                    if min(y1, y2) < x1:
-                        continue  # canonical form picks the least corner
                     cycles.append((x1, y1, x2, y2))
                     if len(cycles) >= max_cycles:
                         truncated = True

@@ -17,7 +17,9 @@ statements):
     edge b c 4
 
 JSON mirror: {"vertices": ["a","b","c"], "edges": [["a","b",3],["b","c",4]]}
-with "inf" for the infinite label.  Emission is sorted (vertices
+with "inf" for the infinite label.  A parsed vertex name may not contain "+":
+a folding names each fiber by "+"-joining its vertices, so a plain name and
+a fiber name never clash.  Emission is sorted (vertices
 lexicographic, edges lexicographic) so emitted files are byte-stable; note
 that re-parsing an emitted file therefore yields lexicographic declaration
 order, not the original one.
@@ -129,12 +131,13 @@ class DynkinDiagram:
         edges = tuple(e for e in self.edges if e[0] in sub and e[1] in sub)
         return DynkinDiagram(verts, edges)
 
-    def _reach(self, v):
-        """The vertices joined to v by a path, v included."""
+    def _reach(self, v, avoid=()):
+        """The vertices joined to v by a path through no vertex of `avoid`,
+        v included."""
         seen, stack = {v}, [v]
         while stack:
             for u in self._adj[stack.pop()]:
-                if u not in seen:
+                if u not in seen and u not in avoid:
                     seen.add(u)
                     stack.append(u)
         return seen
@@ -157,24 +160,15 @@ class DynkinDiagram:
         return self.is_connected() and len(self.edges) == len(self.vertices) - 1
 
     def path_order(self):
-        """Vertices in path order if the diagram is a simple path, else None."""
-        n = self.rank
-        if n == 0 or not self.is_connected():
+        """Vertices in path order if the diagram is a simple path, else None:
+        a tree with no vertex of degree above 2, walked from its first
+        declared end."""
+        adj = self._adj
+        if not self.is_tree() or any(len(a) > 2 for a in adj.values()):
             return None
-        if n == 1:
-            return list(self.vertices)
-        degs = {v: self.degree(v) for v in self.vertices}
-        ends = [v for v in self.vertices if degs[v] == 1]
-        if len(ends) != 2 or any(d > 2 for d in degs.values()):
-            return None
-        order = [ends[0]]
-        prev = None
-        while len(order) < n:
-            nxt = [u for u in self.neighbors(order[-1]) if u != prev]
-            if len(nxt) != 1:
-                return None
-            prev = order[-1]
-            order.append(nxt[0])
+        order = [next(v for v in self.vertices if len(adj[v]) < 2)]
+        while len(order) < self.rank:
+            order.append(next(u for u in adj[order[-1]] if u not in order[-2:]))
         return order
 
     def max_label(self):
@@ -243,6 +237,9 @@ def _parse_label(tok, lineno):
     return m
 
 
+_PLUS = "vertex name {!r} contains '+', which joins the vertices of a fiber"
+
+
 def parse_diagram(text):
     """Parse the text format or its JSON mirror into a DynkinDiagram."""
     stripped = text.lstrip()
@@ -264,6 +261,8 @@ def parse_diagram(text):
                 for name in toks[1:]:
                     if name in vset:
                         raise ParseError(lineno, f"duplicate vertex {name!r}")
+                    if "+" in name:
+                        raise ParseError(lineno, _PLUS.format(name))
                     vset.add(name)
                     verts.append(name)
             elif toks[0] == "edge":
@@ -296,6 +295,9 @@ def _parse_json(text):
         raise ParseError(1, "'vertices' must be a list of strings")
     if len(set(verts)) != len(verts):
         raise ParseError(1, "duplicate vertex in JSON 'vertices'")
+    for name in verts:
+        if "+" in name:
+            raise ParseError(1, _PLUS.format(name))
     vset = set(verts)
     edges = []
     eset = set()
@@ -467,41 +469,16 @@ def is_locally_reducible(d):
 def is_admissible(d, sub):
     """Separation test: any x in `sub` separating two of its vertices inside
     the induced subgraph must also separate them in the whole diagram."""
-    subset = list(dict.fromkeys(sub))
-    missing = set(subset) - set(d.vertices)
-    if missing:
-        raise SubgraphNotInDiagram(f"vertices not in diagram: {sorted(missing)}")
-    induced = d.induced(subset)
+    induced = d.induced(sub)
     if not induced.is_connected():
         raise ValueError("sub must induce a connected subgraph")
-    for x in subset:
-        rest = [v for v in subset if v != x]
-        if len(rest) < 2:
-            continue
-        comp_sub = _component_index(induced, x)
-        comp_amb = _component_index(d, x)
-        for u, v in combinations(rest, 2):
-            if comp_sub[u] != comp_sub[v] and comp_amb[u] == comp_amb[v]:
+    verts = set(induced.vertices)
+    for x in verts:
+        rest = verts - {x}
+        for u in rest:
+            if induced._reach(u, (x,)) != d._reach(u, (x,)) & rest:
                 return False
     return True
-
-
-def _component_index(d, removed):
-    """Map vertex -> component id of the diagram minus one vertex."""
-    comp = {}
-    cid = 0
-    for v in d.vertices:
-        if v == removed or v in comp:
-            continue
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if x == removed or x in comp:
-                continue
-            comp[x] = cid
-            stack.extend(u for u in d.neighbors(x) if u != removed)
-        cid += 1
-    return comp
 
 
 def smallest_subtree(d, verts):
@@ -560,13 +537,19 @@ class SpecialFolding:
     target: DynkinDiagram
     vertex_map: tuple  # ((source_vertex, target_vertex), ...)
 
-    @property
-    def mapping(self):
-        return dict(self.vertex_map)
+    def __post_init__(self):
+        # the last pair of a vertex wins; validate_folding reports the others
+        mapping = dict(self.vertex_map)
+        fibers = {}
+        for v in self.source.vertices:
+            if v in mapping:
+                fibers[mapping[v]] = fibers.get(mapping[v], ()) + (v,)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "_fibers", fibers)
 
     def fiber(self, target_vertex):
-        m = self.mapping
-        return tuple(v for v in self.source.vertices if m.get(v) == target_vertex)
+        """Source vertices mapped to target_vertex, in declaration order."""
+        return self._fibers.get(target_vertex, ())
 
 
 @dataclass(frozen=True)
@@ -595,6 +578,8 @@ def validate_folding(f):
     problems = []
     m = f.mapping
     src, tgt = f.source, f.target
+    for v in dict.fromkeys(v for (v, w) in f.vertex_map if m[v] != w):
+        problems.append(f"vertex {v!r} has two images")
     for v in src.vertices:
         if v not in m:
             problems.append(f"vertex {v!r} has no image")
@@ -604,9 +589,8 @@ def validate_folding(f):
     for v in sorted(extra):
         problems.append(f"map defined on {v!r} which is not a source vertex")
     if not problems:
-        hit = set(m.values())
         for w in tgt.vertices:
-            if w not in hit:
+            if not f.fiber(w):
                 problems.append(f"target vertex {w!r} has empty fiber")
         for (u, v, lab) in src.edges:
             fu, fv = m[u], m[v]
@@ -620,12 +604,8 @@ def validate_folding(f):
                     f"{_label_key(tgt.label(fu, fv))}"
                 )
         for (x, y, lab) in tgt.edges:
-            for u in src.vertices:
-                if m.get(u) != x:
-                    continue
-                for v in src.vertices:
-                    if m.get(v) != y:
-                        continue
+            for u in f.fiber(x):
+                for v in f.fiber(y):
                     if not src.has_edge(u, v):
                         problems.append(
                             f"fibers of edge ({x},{y}) miss source edge ({u},{v})"
@@ -634,12 +614,8 @@ def validate_folding(f):
                         problems.append(
                             f"source edge ({u},{v}) label mismatch on fiber of ({x},{y})"
                         )
-    fibers = []
-    for w in tgt.vertices:
-        fib = f.fiber(w)
-        if len(fib) >= 2:
-            fibers.append(fib)
-    return FoldingReport(not problems, tuple(problems), tuple(fibers))
+    fibers = tuple(f.fiber(w) for w in tgt.vertices if len(f.fiber(w)) >= 2)
+    return FoldingReport(not problems, tuple(problems), fibers)
 
 
 def is_folded_subgraph(f, subset):
@@ -655,7 +631,8 @@ def quotient_folding(d, groups):
 
     `groups` is a list of disjoint vertex tuples (singletons may be
     omitted). Raises InvalidFolding when the result is not a special
-    folding (e.g. adjacent vertices merged, or fiber adjacency incomplete).
+    folding (e.g. adjacent vertices merged, or fiber adjacency incomplete),
+    or when a fiber's "+"-joined name is already the name of another.
     """
     owner = {}
     for grp in groups:
@@ -665,33 +642,29 @@ def quotient_folding(d, groups):
             if v in owner:
                 raise ValueError(f"vertex {v!r} in two groups")
             owner[v] = grp
-    fibers = []
-    done = set()
-    for v in d.vertices:
-        if v in done:
-            continue
-        grp = owner.get(v, (v,))
-        fibers.append(tuple(u for u in d.vertices if u in grp))
-        done.update(grp)
+    fibers = {}  # name -> fiber, in the order of the fibers' first vertices
     name_of = {}
-    for fib in fibers:
-        label = "+".join(fib)
-        for v in fib:
-            name_of[v] = label
-    tverts = []
-    for fib in fibers:
-        tverts.append(name_of[fib[0]])
+    for v in d.vertices:
+        if v not in name_of:
+            fib = tuple(sorted(owner.get(v, (v,)), key=d._index.get))
+            name = "+".join(fib)
+            if name in fibers:
+                raise InvalidFolding(
+                    f"fibers {fibers[name]} and {fib} are both named {name!r}"
+                )
+            fibers[name] = fib
+            name_of.update(dict.fromkeys(fib, name))
+    index = {name: i for i, name in enumerate(fibers)}
     tedges = {}
     for (u, v, lab) in d.edges:
         a, b = name_of[u], name_of[v]
         if a == b:
             raise InvalidFolding(f"cannot identify adjacent vertices {u!r}, {v!r}")
-        key = (a, b) if tverts.index(a) < tverts.index(b) else (b, a)
-        if key in tedges and tedges[key] != lab:
+        key = (a, b) if index[a] < index[b] else (b, a)
+        if tedges.setdefault(key, lab) != lab:
             raise InvalidFolding(f"label conflict on target edge {key}")
-        tedges[key] = lab
     target = DynkinDiagram(
-        tuple(tverts), tuple((a, b, lab) for (a, b), lab in tedges.items())
+        tuple(fibers), tuple((a, b, lab) for (a, b), lab in tedges.items())
     )
     fold = SpecialFolding(d, target, tuple((v, name_of[v]) for v in d.vertices))
     report = validate_folding(fold)

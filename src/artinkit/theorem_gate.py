@@ -108,12 +108,11 @@ def _reject(d):
     return None
 
 
-def _admit_one(comp, tag, folding):
-    """Try a single branch predicate on a connected component.
+def _admit_one(comp, cls, tag, folding):
+    """Try a single branch predicate on a connected component of class `cls`.
 
     Returns (type_name, assumptions) on success, None on failure.
     """
-    cls = dynkin.classify(comp)
     if tag == "spherical":
         return (cls.name, ()) if cls.is_spherical else None
     if tag == "locally_reducible":
@@ -144,18 +143,15 @@ def _admit_one(comp, tag, folding):
 
 
 def _admit(comp, branches, folding=None):
-    """First branch in `branches` that admits the component, or None."""
-    for tag in branches:
-        hit = _admit_one(comp, tag, folding)
-        if hit is not None:
-            name, assumptions = hit
-            return (tag, name, assumptions)
-    return None
-
-
-def _describe(comp):
+    """((tag, type_name, assumptions), None) for the first branch in
+    `branches` that admits the component, else (None, failure reason)."""
     cls = dynkin.classify(comp)
-    return f"component [{', '.join(comp.vertices)}] is {cls}"
+    for tag in branches:
+        hit = _admit_one(comp, cls, tag, folding)
+        if hit is not None:
+            return (tag, *hit), None
+    allowed = ", ".join(branches).replace("_", " ")
+    return None, f"component [{', '.join(comp.vertices)}] is {cls}; allowed: {allowed}"
 
 
 # -- tree gates ---------------------------------------------------------------
@@ -183,14 +179,9 @@ def _tree_verdict(d, cut_edges, branches):
     entries = []
     assumptions = []
     for comp in comps:
-        hit = _admit(comp, branches)
+        hit, why = _admit(comp, branches)
         if hit is None:
-            allowed = ", ".join(branches).replace("_", " ")
-            return GateVerdict(
-                TREE_CUT,
-                False,
-                failure_reason=f"{_describe(comp)}; allowed: {allowed}",
-            )
+            return GateVerdict(TREE_CUT, False, failure_reason=why)
         tag, name, extra = hit
         entries.append(
             {"vertices": list(comp.vertices), "branch": tag, "type": name}
@@ -262,16 +253,7 @@ def induced_cycles(d):
 def _link_component(source, removed, anchor):
     """Component of the diagram minus `removed`, as an induced subdiagram
     containing `anchor`."""
-    removed = set(removed)
-    seen = {anchor}
-    stack = [anchor]
-    while stack:
-        x = stack.pop()
-        for y in source.neighbors(x):
-            if y not in removed and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return source.induced([v for v in source.vertices if v in seen])
+    return source.induced(source._reach(anchor, removed))
 
 
 def _cycle_links(source, cycle, branches, folding):
@@ -296,14 +278,9 @@ def _cycle_links(source, cycle, branches, folding):
             raise InvariantViolated(
                 f"link of {s} does not carry the rest of the cycle"
             )
-        hit = _admit(comp, branches, folding)
+        hit, why = _admit(comp, branches, folding)
         if hit is None:
-            allowed = ", ".join(branches).replace("_", " ")
-            reason = (
-                f"cycle [{', '.join(cycle)}], vertex {s}: {_describe(comp)};"
-                f" allowed: {allowed}"
-            )
-            return None, None, reason
+            return None, None, f"cycle [{', '.join(cycle)}], vertex {s}: {why}"
         tag, name, extra = hit
         entry = {
             "vertex": s,
@@ -370,22 +347,16 @@ _FOLDED_BRANCHES = (
 )
 
 
-def _labeled_neighborhood(t, v):
-    return frozenset((w, t.label(v, w)) for w in t.neighbors(v))
-
-
 def _merge_candidates(t):
     """Vertex pairs of the target mergeable into a coarser special folding:
-    non-adjacent with equal nonempty labeled neighborhoods (which forces
-    distance exactly 2)."""
-    out = []
-    for x, y in combinations(sorted(t.vertices), 2):
-        if t.has_edge(x, y):
-            continue
-        nx = _labeled_neighborhood(t, x)
-        if nx and nx == _labeled_neighborhood(t, y):
-            out.append((x, y))
-    return out
+    equal nonempty labeled neighborhoods, in sorted order. Such vertices are
+    never adjacent (a vertex lies in its neighbors' neighborhoods, not in its
+    own), so they lie at distance exactly 2."""
+    groups = {}
+    for v in sorted(t.vertices):
+        if t._adj[v]:
+            groups.setdefault(frozenset(t._adj[v].items()), []).append(v)
+    return sorted(pair for grp in groups.values() for pair in combinations(grp, 2))
 
 
 def _partition_key(groups):
@@ -621,7 +592,7 @@ def revalidate(d, verdict):
         for comp, entry in zip(comps, cert["components"]):
             if list(comp.vertices) != entry["vertices"]:
                 return False
-            hit = _admit_one(comp, entry["branch"], None)
+            hit = _admit_one(comp, dynkin.classify(comp), entry["branch"], None)
             if hit is None or hit[0] != entry["type"]:
                 return False
             assumptions.extend(hit[1])

@@ -279,6 +279,15 @@ def test_gate_directory_table(dyn, tmp_path):
     ]
 
 
+def test_gate_rejects_plus_in_a_vertex_name_exit2(dyn):
+    p = dyn("plus.dyn", "vertices o a b a+b\nedge o a 3\nedge o b 3\nedge o a+b 3\n")
+    r = run("gate", p)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("error: line 1: vertex name 'a+b' contains '+',"
+                        " which joins the vertices of a fiber\n")
+
+
 def test_gate_directory_empty_exit2(tmp_path):
     r = run("gate", str(tmp_path))
     assert r.returncode == 2

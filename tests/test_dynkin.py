@@ -404,6 +404,36 @@ def test_validate_folding_reports_problems():
     assert rep.problems  # the c-b edge carries label 4, the target edge 3
 
 
+def test_validate_folding_reports_a_vertex_with_two_images():
+    # dict(vertex_map) keeps a -> x, which alone would be a valid folding
+    f = dy.SpecialFolding(
+        source=dy.path_diagram("abc", [3, 3]),
+        target=dy.path_diagram(["x", "y"], [3]),
+        vertex_map=(("a", "y"), ("a", "x"), ("b", "y"), ("c", "x")),
+    )
+    rep = dy.validate_folding(f)
+    assert not rep
+    assert rep.problems == ("vertex 'a' has two images",)
+
+
+# a fiber is named by "+"-joining its vertices, so merging a and b here would
+# make a second vertex named "a+b"
+PLUS_D4 = D(["o", "a", "b", "a+b"], [("o", "a", 3), ("o", "b", 3), ("o", "a+b", 3)])
+
+
+def test_quotient_folding_name_clash_is_an_invalid_folding():
+    clash = r"^fibers \('a', 'b'\) and \('a\+b',\) are both named 'a\+b'$"
+    with pytest.raises(InvalidFolding, match=clash):
+        dy.quotient_folding(PLUS_D4, [("a", "b")])
+
+
+def test_parse_rejects_plus_in_vertex_names():
+    with pytest.raises(ParseError, match=r"line 2: vertex name 'a\+b' contains '\+'"):
+        dy.parse_diagram("vertices o a b\nvertices a+b\n")
+    with pytest.raises(ParseError, match=r"line 1: vertex name '\+' contains '\+'"):
+        dy.parse_diagram('{"vertices": ["o", "+"], "edges": []}')
+
+
 def test_quotient_folding_square():
     sq = dy.cycle_diagram("abcd", [3, 3, 3, 3])
     f = dy.quotient_folding(sq, [("b", "d")])

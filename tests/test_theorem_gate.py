@@ -507,3 +507,12 @@ def test_induced_cycles_match_subset_scan_on_folding_targets():
         assert tg.induced_cycles(t) == _subset_scan_cycles(t), t.to_text()
         targets += bool(tg.induced_cycles(t))
     assert targets > 30
+
+
+def test_folded_search_skips_a_merge_whose_name_is_taken():
+    # merging a and b would name the fiber like the vertex "a+b"
+    d = dynkin.diagram(["o", "a", "b", "a+b"],
+                       [("o", "a", 3), ("o", "b", 3), ("o", "a+b", 3)])
+    verdicts = tg.gate_all(d)
+    assert tg.overall(verdicts) == "applicable"
+    assert verdicts[0].certificate == {"type": "D(4)"}
