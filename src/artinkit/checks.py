@@ -13,7 +13,6 @@ size, vertex id) among those of an allowed type.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -48,10 +47,6 @@ class CheckVerdict:
                           for w in self.witnesses],
             "truncated": self.truncated,
         }
-
-    def to_json_str(self):
-        return json.dumps(self.to_json(), ensure_ascii=False, sort_keys=True,
-                          separators=(",", ": "), indent=2)
 
     def render(self):
         params = " ".join(f"{k}={v}" for k, v in self.parameters)

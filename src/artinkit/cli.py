@@ -182,7 +182,7 @@ def cmd_check(args):
         )
     else:
         verdict = checks.linear_order(ball, orientation).verdict
-    print(verdict.to_json_str() if args.format == "json" else verdict.render())
+    print(_dump_json(verdict.to_json()) if args.format == "json" else verdict.render())
     return _STATUS_EXIT[verdict.status]
 
 

@@ -482,31 +482,18 @@ def is_admissible(d, sub):
 
 
 def smallest_subtree(d, verts):
-    """Smallest subtree of a tree diagram containing the given vertices."""
+    """Smallest subtree of a tree diagram containing the given vertices: they
+    and every vertex whose removal separates two of them."""
     if not d.is_tree():
         raise NotATree("smallest_subtree requires a tree diagram")
-    vs = list(dict.fromkeys(verts))
-    missing = set(vs) - set(d.vertices)
+    vs = set(verts)
+    missing = vs - set(d.vertices)
     if missing:
         raise SubgraphNotInDiagram(f"vertices not in diagram: {sorted(missing)}")
     if not vs:
         raise ValueError("need at least one vertex")
-    anchor = vs[0]
-    parent = {anchor: None}
-    stack = [anchor]
-    while stack:
-        x = stack.pop()
-        for u in d.neighbors(x):
-            if u not in parent:
-                parent[u] = x
-                stack.append(u)
-    keep = set()
-    for v in vs:
-        x = v
-        while x is not None and x not in keep:
-            keep.add(x)
-            x = parent[x]
-    return d.induced(keep)
+    return d.induced(vs | {x for x in d.vertices
+                           if len({frozenset(d._reach(v, (x,))) for v in vs}) > 1})
 
 
 def cut_components(d, cut_edges):

@@ -128,7 +128,6 @@ class GarsideTable:
         # flat tables keyed by u·n + v, filled on first lookup
         self._left_weight = {}  # left-weighted pair for u·v, () if normal
         self._right_weight = {}  # the mirror: keyed v·n + u for the pair u·v
-        self._tail = {}  # maximal simple right-divisor of u·v
         self._divide = {}  # (j·u⁻¹, j·v⁻¹) for j = u ∨_R v
         # X → row of meet_r(x, Δ_X), the largest right-divisor of x in W_X
         self._cut = {}
@@ -291,14 +290,15 @@ class GarsideTable:
         tau = self.tau if (d + e) % 2 else None
         seq = [tau[f] for f in prefix] if tau else list(prefix)
         head, top = array("H", [e, *seq]).tobytes(), self._fold(0, seq)
-        n, tail, index_bytes, m_bytes = self.n, self._tail, self._index_bytes, key[2:]
+        n, rw, index_bytes, m_bytes = self.n, self._right_weight, self._index_bytes, key[2:]
         ldesc, rdesc, lead = self.ldesc, self.rdesc, m[0] if m else 0
         out = []
         for w in kids:
             g = tau[w] if tau else w
-            beta = tail.get(top * n + g)
-            if beta is None:
-                beta = self._fold(top, (g,))
+            step = rw.get(g * n + top)
+            if step is None:
+                step = rw[g * n + top] = self._right_weighted(g, top)
+            beta = step[0] if step else g
             bc = row.get(beta)
             if bc is None:
                 b = self._fold(beta, m)
@@ -346,14 +346,15 @@ class GarsideTable:
 
     def _fold(self, beta, fs):
         """The maximal simple right-divisor of β·fs, β simple, folded left to
-        right through `_tail` (a factor 1 leaves it as it is)."""
-        n, tail = self.n, self._tail
+        right through the right factors in `_right_weight` (a factor 1 leaves it)."""
+        n, rw = self.n, self._right_weight
         for f in fs:
-            k = beta * n + f
+            k = f * n + beta
             try:
-                beta = tail[k]
-            except KeyError:  # the right factor of the right-weighting
-                beta = tail[k] = (self._right_weighted(f, beta) or (f,))[0]
+                step = rw[k]
+            except KeyError:
+                step = rw[k] = self._right_weighted(f, beta)
+            beta = step[0] if step else f
         return beta
 
     def _strip(self, seq, X, beta=None):
@@ -362,8 +363,8 @@ class GarsideTable:
         Repeatedly strips the largest right-divisor lying in the positive
         monoid of A_X: the largest right-divisor in W_X of the maximal simple
         right-divisor β of the product, folded over the factors unless given.
-        Every step reads the flat tables (`_tail`, `_divide`, and the `_cut`
-        row of X), whose entries are computed on first lookup. `seq` is
+        Every step reads the flat tables (`_right_weight`, `_divide`, and the
+        `_cut` row of X), whose entries are computed on first lookup. `seq` is
         consumed.
         """
         cut = self._cut.get(X)

@@ -24,11 +24,15 @@ Gates:
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-import json
 
 from . import dynkin
 from .dynkin import INFINITY
-from .errors import InvalidFolding, InvariantViolated, SearchBudgetExceeded
+from .errors import (
+    InvalidFolding,
+    InvariantViolated,
+    SearchBudgetExceeded,
+    SubgraphNotInDiagram,
+)
 
 TREE_CUT = "TreeCut"
 SINGLE_CYCLE = "SingleCycle"
@@ -72,11 +76,6 @@ class GateVerdict:
             "reason": self.failure_reason,
         }
 
-    def to_json_str(self):
-        return json.dumps(
-            self.to_json(), ensure_ascii=False, sort_keys=True, indent=2
-        )
-
     def render(self):
         head = "applicable" if self.applicable else "not applicable"
         if self.applicable and self.conditional_assumptions:
@@ -99,12 +98,17 @@ def overall(verdicts):
 # -- shared component admission ----------------------------------------------
 
 
-def _reject(d):
-    """Reason string when the diagram is outside gate scope, else None."""
+def _reject(d, connected=False):
+    """Reason string when the diagram is outside gate scope, else None. With
+    `connected`, a disconnected diagram is outside it too: a base case or a
+    cycle in one component says nothing about the others, and the
+    componentwise reduction gate handles such diagrams."""
     if d.rank == 0:
         return "empty diagram"
     if any(m == INFINITY for (_, _, m) in d.edges):
         return "diagram has an infinite label"
+    if connected and not d.is_connected():
+        return "diagram is not connected"
     return None
 
 
@@ -143,15 +147,19 @@ def _admit_one(comp, cls, tag, folding):
 
 
 def _admit(comp, branches, folding=None):
-    """((tag, type_name, assumptions), None) for the first branch in
-    `branches` that admits the component, else (None, failure reason)."""
+    """((tag, type_name, assumptions), class) for the first branch in
+    `branches` that admits the component, else (None, class)."""
     cls = dynkin.classify(comp)
     for tag in branches:
         hit = _admit_one(comp, cls, tag, folding)
         if hit is not None:
-            return (tag, *hit), None
+            return (tag, *hit), cls
+    return None, cls
+
+
+def _refusal(comp, cls, branches):
     allowed = ", ".join(branches).replace("_", " ")
-    return None, f"component [{', '.join(comp.vertices)}] is {cls}; allowed: {allowed}"
+    return f"component [{', '.join(comp.vertices)}] is {cls}; allowed: {allowed}"
 
 
 # -- tree gates ---------------------------------------------------------------
@@ -160,12 +168,19 @@ _TREE_BRANCHES = ("spherical", "locally_reducible", "affine_chain")
 _TREE_COND_BRANCHES = _TREE_BRANCHES + ("affine",)
 
 
-def _tree_verdict(d, cut_edges, branches):
-    bad = _reject(d)
+def _tree_verdicts(d, cut_edges=None):
+    """(plain, conditional) TreeCut verdicts from one admission of each cut
+    component under the conditional branches, the plain ones first.
+
+    The plain verdict fails at the first component admitted only as
+    `affine`, or not at all; when every component takes a plain branch the
+    two verdicts are one. Raises ValueError for a cut edge that the diagram
+    lacks or whose label is below 6.
+    """
+    bad = _reject(d) or (None if d.is_tree() else "NotATree")
     if bad:
-        return GateVerdict(TREE_CUT, False, failure_reason=bad)
-    if not d.is_tree():
-        return GateVerdict(TREE_CUT, False, failure_reason="NotATree")
+        refused = GateVerdict(TREE_CUT, False, failure_reason=bad)
+        return refused, refused
     if cut_edges is None:
         cut = [e for e in d.edges if e[2] >= 6]
     else:
@@ -175,13 +190,18 @@ def _tree_verdict(d, cut_edges, branches):
             raise ValueError("cut edge not in diagram")
         if any(m < 6 for (_, _, m) in cut):
             raise ValueError("cut edges must have label >= 6")
-    comps = dynkin.cut_components(d, [(u, v) for (u, v, _) in cut])
     entries = []
     assumptions = []
-    for comp in comps:
-        hit, why = _admit(comp, branches)
+    plain_fail = None
+    for comp in dynkin.cut_components(d, [(u, v) for (u, v, _) in cut]):
+        hit, cls = _admit(comp, _TREE_COND_BRANCHES)
+        if plain_fail is None and (hit is None or hit[0] == "affine"):
+            plain_fail = GateVerdict(
+                TREE_CUT, False, failure_reason=_refusal(comp, cls, _TREE_BRANCHES)
+            )
         if hit is None:
-            return GateVerdict(TREE_CUT, False, failure_reason=why)
+            why = _refusal(comp, cls, _TREE_COND_BRANCHES)
+            return plain_fail, GateVerdict(TREE_CUT, False, failure_reason=why)
         tag, name, extra = hit
         entries.append(
             {"vertices": list(comp.vertices), "branch": tag, "type": name}
@@ -191,30 +211,27 @@ def _tree_verdict(d, cut_edges, branches):
         "cut_edges": [[u, v, m] for (u, v, m) in cut],
         "components": entries,
     }
-    return GateVerdict(
+    cond = GateVerdict(
         TREE_CUT, True, certificate, tuple(dict.fromkeys(assumptions))
     )
+    return plain_fail or cond, cond
 
 
 def gate_tree(d, *, cut_edges=None):
     """Cut all label >= 6 edges of a tree; components must be spherical,
     locally reducible, or AffC chains. `cut_edges` overrides the cut set
     (any subset of the label >= 6 edges), for soundness experiments."""
-    return _tree_verdict(d, cut_edges, _TREE_BRANCHES)
+    return _tree_verdicts(d, cut_edges)[0]
 
 
 def gate_tree_conditional(d, *, cut_edges=None):
     """As gate_tree but affine components are allowed; affine families
     without a verified local structure theory contribute two conditional
     assumptions each."""
-    return _tree_verdict(d, cut_edges, _TREE_COND_BRANCHES)
+    return _tree_verdicts(d, cut_edges)[1]
 
 
 # -- induced cycles -----------------------------------------------------------
-
-
-def _has_cycle(d):
-    return len(d.edges) > d.rank - len(d.components())
 
 
 def induced_cycles(d):
@@ -228,7 +245,7 @@ def induced_cycles(d):
     Cycles come sorted by size, then by their declaration indices.
     """
     out = []
-    if not _has_cycle(d):
+    if len(d.edges) == d.rank - len(d.components()):  # a forest
         return out
     index, adj = d._index, d._adj
 
@@ -278,8 +295,9 @@ def _cycle_links(source, cycle, branches, folding):
             raise InvariantViolated(
                 f"link of {s} does not carry the rest of the cycle"
             )
-        hit, why = _admit(comp, branches, folding)
+        hit, cls = _admit(comp, branches, folding)
         if hit is None:
+            why = _refusal(comp, cls, branches)
             return None, None, f"cycle [{', '.join(cycle)}], vertex {s}: {why}"
         tag, name, extra = hit
         entry = {
@@ -298,43 +316,39 @@ def _cycle_links(source, cycle, branches, folding):
 _CYCLE_BRANCHES = ("spherical", "locally_reducible", "affine_chain", "affine")
 
 
+def _single_cycle(d, cycle):
+    """(verdict, None) when the links of the induced cycle are all
+    admitted, else (None, failure text)."""
+    entries, assumptions, fail = _cycle_links(d, cycle, _CYCLE_BRANCHES, None)
+    if fail is not None:
+        return None, fail
+    certificate = {"cycle": list(cycle), "links": entries}
+    return GateVerdict(SINGLE_CYCLE, True, certificate, assumptions), None
+
+
 def gate_cycle(d):
     """Search induced cycles whose per-vertex complement components are
     trees of spherical / locally reducible (unconditional) or affine
     (conditional) type."""
-    bad = _reject(d)
+    bad = _reject(d, connected=True)
     if bad:
         return GateVerdict(SINGLE_CYCLE, False, failure_reason=bad)
-    if not d.is_connected():
-        # a cycle in one component says nothing about the others; the
-        # componentwise reduction gate handles disconnected diagrams
-        return GateVerdict(
-            SINGLE_CYCLE, False, failure_reason="diagram is not connected"
-        )
     cycles = induced_cycles(d)
     if not cycles:
         return GateVerdict(SINGLE_CYCLE, False, failure_reason="NoInducedCycle")
     first_fail = None
     conditional = None
     for cycle in cycles:
-        entries, assumptions, fail = _cycle_links(d, cycle, _CYCLE_BRANCHES, None)
-        if fail is not None:
-            if first_fail is None:
-                first_fail = fail
-            continue
-        verdict = GateVerdict(
-            SINGLE_CYCLE,
-            True,
-            {"cycle": list(cycle), "links": entries},
-            assumptions,
-        )
-        if not assumptions:
+        verdict, fail = _single_cycle(d, cycle)
+        if verdict is None:
+            first_fail = first_fail or fail
+        elif not verdict.conditional_assumptions:
             return verdict
-        if conditional is None:
+        elif conditional is None:
             conditional = verdict
-    if conditional is not None:
-        return conditional
-    return GateVerdict(SINGLE_CYCLE, False, failure_reason=first_fail)
+    return conditional or GateVerdict(
+        SINGLE_CYCLE, False, failure_reason=first_fail
+    )
 
 
 # -- folded search ------------------------------------------------------------
@@ -373,6 +387,22 @@ def _folding_json(f):
     }
 
 
+def _folded_cycle(d, folding, cycle):
+    """(verdict, None) when the links of the induced cycle of the folding
+    target are all admitted, else (None, failure text)."""
+    entries, assumptions, fail = _cycle_links(d, cycle, _FOLDED_BRANCHES, folding)
+    if fail is not None:
+        return None, fail
+    if assumptions:
+        raise InvariantViolated("folded branches admit no assumptions")
+    certificate = {
+        "folding": _folding_json(folding),
+        "cycle": list(cycle),
+        "links": entries,
+    }
+    return GateVerdict(FOLDED_CYCLE, True, certificate), None
+
+
 def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
     """Bounded search over vertex-identifying quotients and induced cycles
     of their targets; every admitted branch is unconditional.
@@ -381,16 +411,11 @@ def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
     before exhaustion without finding an applicable pair, so "not found"
     is never silently conflated with "refuted".
     """
-    bad = _reject(d)
+    bad = _reject(d, connected=True)
     if bad:
         return GateVerdict(FOLDED_CYCLE, False, failure_reason=bad)
-    if not d.is_connected():
-        return GateVerdict(
-            FOLDED_CYCLE, False, failure_reason="diagram is not connected"
-        )
-    identity = dynkin.identity_folding(d)
     seen = {_partition_key([(v,) for v in d.vertices])}
-    queue = deque([identity])
+    queue = deque([dynkin.identity_folding(d)])
     produced = 1
     truncated = False
     first_fail = None
@@ -398,24 +423,12 @@ def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
     while queue:
         f = queue.popleft()
         target = f.target
-        if _has_cycle(target):
-            for cycle in induced_cycles(target):
-                saw_cycle = True
-                entries, assumptions, fail = _cycle_links(
-                    d, cycle, _FOLDED_BRANCHES, f
-                )
-                if fail is not None:
-                    if first_fail is None:
-                        first_fail = fail
-                    continue
-                if assumptions:
-                    raise InvariantViolated("folded branches admit no assumptions")
-                certificate = {
-                    "folding": _folding_json(f),
-                    "cycle": list(cycle),
-                    "links": entries,
-                }
-                return GateVerdict(FOLDED_CYCLE, True, certificate)
+        for cycle in induced_cycles(target):
+            saw_cycle = True
+            verdict, fail = _folded_cycle(d, f, cycle)
+            if verdict is not None:
+                return verdict
+            first_fail = first_fail or fail
         for x, y in _merge_candidates(target):
             groups = []
             merged = f.fiber(x) + f.fiber(y)
@@ -456,13 +469,9 @@ def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
 
 def gate_spherical(d):
     """Base case: a connected diagram of spherical type."""
-    bad = _reject(d)
+    bad = _reject(d, connected=True)
     if bad:
         return GateVerdict(SPHERICAL_BASE, False, failure_reason=bad)
-    if not d.is_connected():
-        return GateVerdict(
-            SPHERICAL_BASE, False, failure_reason="diagram is not connected"
-        )
     cls = dynkin.classify(d)
     if cls.is_spherical:
         return GateVerdict(SPHERICAL_BASE, True, {"type": cls.name})
@@ -524,26 +533,13 @@ def gate_fc_reduction(d):
 def gate_all(d):
     """Every gate in a stable order; the tree slot reports the plain gate
     when it applies and the conditional variant otherwise."""
-    out = [gate_spherical(d)]
-    tree = gate_tree(d)
-    if not tree.applicable:
-        cond = gate_tree_conditional(d)
-        if cond.applicable:
-            tree = cond
-    out.append(tree)
-    out.append(gate_cycle(d))
+    plain, cond = _tree_verdicts(d)
+    out = [gate_spherical(d), cond if cond.applicable else plain, gate_cycle(d)]
     try:
         out.append(gate_folded(d))
     except SearchBudgetExceeded as exc:
-        out.append(
-            GateVerdict(
-                FOLDED_CYCLE,
-                False,
-                failure_reason=(
-                    f"search budget exceeded ({exc.budget} candidate foldings)"
-                ),
-            )
-        )
+        why = f"search budget exceeded ({exc.budget} candidate foldings)"
+        out.append(GateVerdict(FOLDED_CYCLE, False, failure_reason=why))
     out.append(gate_fc_reduction(d))
     return out
 
@@ -552,96 +548,48 @@ def gate_all(d):
 
 
 def _is_induced_cycle(d, cycle):
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        return False
-    if not all(d.has_vertex(v) for v in cycle):
-        return False
     n = len(cycle)
-    for i, u in enumerate(cycle):
-        for j in range(i + 1, n):
-            v = cycle[j]
-            adjacent = j - i == 1 or (i == 0 and j == n - 1)
-            if d.has_edge(u, v) != adjacent:
-                return False
-    return True
+    if n < 3 or len(set(cycle)) != n or not all(map(d.has_vertex, cycle)):
+        return False
+    # cycle[i] and cycle[j], i < j, are adjacent iff j - i is 1 or n - 1
+    return all(d.has_edge(cycle[i], cycle[j]) == (j - i in (1, n - 1))
+               for i, j in combinations(range(n), 2))
 
 
 def revalidate(d, verdict):
-    """Re-run the hypothesis checks recorded in an applicable certificate."""
+    """Re-run the gate's admission step on the recorded candidate and
+    compare the whole verdict with the one given.
+
+    SphericalBase and FCReduction have no candidate: their gate runs again.
+    A TreeCut re-admits the components of its recorded cut, a SingleCycle
+    its recorded cycle (which must be an induced cycle of d), and a
+    FoldedCycle its recorded cycle in the quotient by its recorded fibres.
+    So every recorded branch must be the first branch that admits its
+    component, and the assumptions must be the ones the step derives. A
+    cut edge that d lacks or whose label is below 6, or fibres that make no
+    valid folding, give False; InvariantViolated propagates.
+    """
     if not verdict.applicable or verdict.certificate is None:
         return False
     cert = verdict.certificate
     if verdict.theorem == SPHERICAL_BASE:
-        if not d.is_connected():
-            return False
-        cls = dynkin.classify(d)
-        return cls.is_spherical and cls.name == cert["type"]
-    if verdict.theorem == TREE_CUT:
-        if not d.is_tree():
-            return False
-        cut = cert["cut_edges"]
-        if any(
-            not d.has_edge(u, v) or d.label(u, v) != m or m < 6
-            for (u, v, m) in cut
-        ):
-            return False
-        comps = dynkin.cut_components(d, [(u, v) for (u, v, _) in cut])
-        if len(comps) != len(cert["components"]):
-            return False
-        assumptions = []
-        for comp, entry in zip(comps, cert["components"]):
-            if list(comp.vertices) != entry["vertices"]:
-                return False
-            hit = _admit_one(comp, dynkin.classify(comp), entry["branch"], None)
-            if hit is None or hit[0] != entry["type"]:
-                return False
-            assumptions.extend(hit[1])
-        return tuple(dict.fromkeys(assumptions)) == verdict.conditional_assumptions
-    if verdict.theorem == SINGLE_CYCLE:
-        cycle = tuple(cert["cycle"])
-        if not d.is_connected() or not _is_induced_cycle(d, cycle):
-            return False
-        entries, assumptions, fail = _cycle_links(d, cycle, _CYCLE_BRANCHES, None)
-        if fail is not None:
-            return False
-        for got, want in zip(entries, cert["links"]):
-            if got != want:
-                return False
-        return assumptions == verdict.conditional_assumptions
-    if verdict.theorem == FOLDED_CYCLE:
-        if not d.is_connected():
-            return False
-        fibers = [tuple(g) for g in cert["folding"]["fibers"]]
-        try:
-            f = dynkin.quotient_folding(d, fibers)
-        except InvalidFolding:
-            return False
-        if _folding_json(f) != cert["folding"]:
-            return False
-        cycle = tuple(cert["cycle"])
-        if not _is_induced_cycle(f.target, cycle):
-            return False
-        entries, assumptions, fail = _cycle_links(d, cycle, _FOLDED_BRANCHES, f)
-        if fail is not None or assumptions:
-            return False
-        return entries == cert["links"]
+        return gate_spherical(d) == verdict
     if verdict.theorem == FC_REDUCTION:
-        comps = d.components()
-        if len(comps) != len(cert["components"]) or len(comps) < 2:
+        return gate_fc_reduction(d) == verdict
+    if verdict.theorem == TREE_CUT:
+        try:
+            return _tree_verdicts(d, cert["cut_edges"])[1] == verdict
+        except ValueError:
             return False
-        gates = {
-            SPHERICAL_BASE: gate_spherical,
-            TREE_CUT: gate_tree_conditional,
-            SINGLE_CYCLE: gate_cycle,
-            FOLDED_CYCLE: gate_folded,
-        }
-        for verts, entry in zip(comps, cert["components"]):
-            if list(verts) != entry["vertices"]:
-                return False
-            sub = gates[entry["theorem"]](d.induced(verts))
-            if not sub.applicable:
-                return False
-            if list(sub.conditional_assumptions) != entry["conditional"]:
-                return False
-        return True
-    return False
+    if verdict.theorem not in (SINGLE_CYCLE, FOLDED_CYCLE) or _reject(d, True):
+        return False
+    cycle = tuple(cert["cycle"])
+    if verdict.theorem == SINGLE_CYCLE:
+        return _is_induced_cycle(d, cycle) and _single_cycle(d, cycle)[0] == verdict
+    fibers = [tuple(g) for g in cert["folding"]["fibers"]]
+    try:
+        f = dynkin.quotient_folding(d, fibers)
+    except (InvalidFolding, SubgraphNotInDiagram, ValueError):
+        return False
+    return (_is_induced_cycle(f.target, cycle)
+            and _folded_cycle(d, f, cycle)[0] == verdict)

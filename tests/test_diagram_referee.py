@@ -6,6 +6,8 @@ names, shuffled declaration order), are checked against definitions
 written out here from the edge list alone: a plain breadth-first search
 for separation and components, a pairwise comparison of labeled
 neighborhoods, and the special-folding conditions on explicit fibers.
+The tree slot of `gate_all` is checked against the rule that picks it from
+the plain and the conditional tree gates.
 """
 
 import random
@@ -187,3 +189,19 @@ def test_quotient_folding_matches_the_folding_conditions():
                 fib for fib in fibers if len(fib) >= 2)
             valid += 1
     assert valid > 20 and invalid > 20
+
+
+def test_gate_all_tree_slot_is_the_plain_gate_unless_only_the_conditional_applies():
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(300):
+        d = _random_diagram(rng, rng.randint(4, 10), "tree")
+        plain, cond = tg.gate_tree(d), tg.gate_tree_conditional(d)
+        want = cond if not plain.applicable and cond.applicable else plain
+        assert tg.gate_all(d)[1] == want, d.to_text()
+        kinds.add((plain.applicable, cond.applicable,
+                   bool(cond.conditional_assumptions)))
+    # with every label-6 edge cut, no component is AffG(2), so an affine
+    # component that is not an AffC chain always brings assumptions
+    assert kinds == {(True, True, False), (False, True, True),
+                     (False, False, False)}

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from artinkit import dynkin
+from artinkit import cli, dynkin
 from artinkit import theorem_gate as tg
 from artinkit.errors import SearchBudgetExceeded
 
@@ -424,9 +424,74 @@ def test_certificate_tampering_fails_revalidation():
     assert not tg.revalidate(
         TWO_4GONS, tg.GateVerdict(tg.FOLDED_CYCLE, True, forged)
     )
+    forged["folding"] = dict(forged["folding"], fibers=[["p", "zz"]])
+    assert not tg.revalidate(
+        TWO_4GONS, tg.GateVerdict(tg.FOLDED_CYCLE, True, forged)
+    )
+
+    # a cut edge the diagram lacks, or one with a label below 6
+    d6 = path("abc", [3, 6])
+    v = tg.gate_tree(d6)
+    for cut in ([["a", "c", 6]], [["a", "b", 3]]):
+        forged = dict(v.certificate, cut_edges=cut)
+        assert not tg.revalidate(d6, tg.GateVerdict(tg.TREE_CUT, True, forged))
 
     # non-applicable verdicts never revalidate
     assert not tg.revalidate(d, tg.gate_cycle(d))
+
+
+def test_revalidate_refuses_a_tree_cut_through_an_infinite_label():
+    d = dynkin.diagram(list("abc"), [("a", "b", dynkin.INFINITY), ("b", "c", 3)])
+    assert tg.gate_tree(d).failure_reason == "diagram has an infinite label"
+    forged = {
+        "cut_edges": [["a", "b", dynkin.INFINITY]],
+        "components": [
+            {"vertices": ["a"], "branch": "spherical", "type": "A(1)"},
+            {"vertices": ["b", "c"], "branch": "spherical", "type": "A(2)"},
+        ],
+    }
+    assert not tg.revalidate(d, tg.GateVerdict(tg.TREE_CUT, True, forged))
+
+
+def test_revalidate_answers_false_outside_the_spherical_scope():
+    forged = tg.GateVerdict(tg.SPHERICAL_BASE, True, {"type": "A(2)"})
+    assert tg.revalidate(path("ab", [3]), forged)
+    assert not tg.revalidate(path("ab", [dynkin.INFINITY]), forged)
+    assert not tg.revalidate(dynkin.diagram([], []), forged)
+
+
+def test_revalidate_needs_every_link_of_a_single_cycle():
+    tri = cyc("xyz", [3, 3, 3])
+    v = tg.gate_cycle(tri)
+    assert len(v.certificate["links"]) == 3 and tg.revalidate(tri, v)
+    for links in ([], v.certificate["links"][:1]):
+        forged = dict(v.certificate, links=links)
+        assert not tg.revalidate(tri, tg.GateVerdict(tg.SINGLE_CYCLE, True, forged))
+
+
+def test_revalidate_keeps_the_assumptions_of_a_reduction():
+    d = dynkin.diagram(
+        list("pqrstu"),
+        [("p", "q", 3), ("q", "r", 3), ("r", "s", 4), ("s", "t", 3)],
+    )
+    v = tg.gate_fc_reduction(d)
+    assert v.applicable and v.conditional_assumptions == AFFF4_ASSUMPTIONS
+    assert tg.revalidate(d, v)
+    forged = tg.GateVerdict(tg.FC_REDUCTION, True, v.certificate, ())
+    assert not tg.revalidate(d, forged)
+
+
+def test_revalidate_requires_the_first_admitting_branch():
+    # A(2) is spherical and, with no three vertices, locally reducible too;
+    # the gate records the first branch, so only that one revalidates
+    d = path("abc", [3, 6])
+    v = tg.gate_tree(d)
+    assert [c["branch"] for c in v.certificate["components"]] == ["spherical"] * 2
+    assert tg.revalidate(d, v)
+    first, second = v.certificate["components"]
+    forged = dict(v.certificate, components=[
+        first, dict(second, branch="locally_reducible")])
+    assert not tg.revalidate(d, tg.GateVerdict(tg.TREE_CUT, True, forged))
 
 
 def test_verdict_json_shape():
@@ -435,7 +500,7 @@ def test_verdict_json_shape():
     assert set(blob) == {"theorem", "applicable", "certificate", "conditional",
                          "reason"}
     assert blob["reason"] is None and blob["conditional"] == []
-    assert v.to_json_str() == v.to_json_str()
+    assert cli._dump_json(v.to_json()) == cli._dump_json(v.to_json())
     assert "TreeCut: applicable" == v.render()
 
     w = tg.gate_tree_conditional(AFFF4)

@@ -12,13 +12,19 @@ sides alike. The file records each run's last JSON line and a summary line
 per metric: the median and quartiles on each side, the pairs the change
 wins (every metric is better lower) and the median change/parent ratio.
 The exit status is 1 unless every run says `correct` with `failed` 0.
-Standard library only.
+
+Both checkouts are measured from source: every `__pycache__` under their
+`src/` and `perfbench/` is removed before the first run, and the runs set
+PYTHONDONTWRITEBYTECODE=1, because importing cached bytecode skips
+compilation and lowers `peak_rss_mb` by a few percent. Standard library
+only.
 """
 
 import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -30,11 +36,18 @@ METRICS = ("setup_s", "work_s", "peak_rss_mb")
 def run_once(root, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         return {"correct": False, "error": proc.stderr.strip()[-2000:]}
     return json.loads(lines[-1])
+
+
+def clear_bytecode(root):
+    for sub in ("src", "perfbench"):
+        for cache in sorted((root / sub).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def revision(root):
@@ -109,6 +122,8 @@ def main(argv=None):
         name, _, count = item.partition("=")
         plan.append((name, int(count or 1)))
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for root in sides.values():
+        clear_bytecode(root)
     pairs = {}
     for workload, count in plan:
         runs = pairs[workload] = []
