@@ -3,8 +3,9 @@
 All verdicts are one-sided. A finite ball never refutes an existence claim:
 missing fillers or midpoints only downgrade to UNRESOLVED, because the
 witnessing cosets may have arbitrarily deep chambers. COUNTEREXAMPLE is
-reserved for local axiom violations among inner vertices, where the margin
-rule guarantees the relevant structure is fully enumerated.
+reserved for local axiom violations among inner vertices, where the fixed
+margin guarantees the relevant structure is fully enumerated. `_verdict`
+holds the one scope rule: no check says VERIFIED at inner radius below 1.
 
 A filler or middle is adjacent to every corner, so it is searched among the
 corners' common neighbours only: the chosen one is the least by (witness
@@ -61,11 +62,28 @@ class CheckVerdict:
         return "\n".join(lines)
 
 
-def _params(ball, **extra):
-    items = {"bound": ball.bound, "effective_bound": ball.effective_bound,
-             "margin": ball.margin}
-    items.update(extra)
-    return tuple(sorted(items.items()))
+def _verdict(check, ball, params, *, problems=(), unresolved=(), resolved=(),
+             truncated=False):
+    """The one scope rule of every check's status. COUNTEREXAMPLE with the
+    problems, if there are any; otherwise UNRESOLVED with the unresolved
+    instances, if there are any; otherwise UNRESOLVED with no witnesses if
+    the scan was truncated or the ball is thin, its inner radius
+    effective_bound - margin below 1 (its inner vertices are then at most
+    one chamber's); otherwise VERIFIED with the resolved instances.
+    `params` are the check's own parameters, beside the ball's."""
+    if problems:
+        status, witnesses = COUNTEREXAMPLE, problems
+    elif unresolved:
+        status, witnesses = UNRESOLVED, unresolved
+    elif truncated or ball.effective_bound - ball.margin < 1:
+        status, witnesses = UNRESOLVED, ()
+    else:
+        status, witnesses = VERIFIED, resolved
+    params = {**params, "bound": ball.bound,
+              "effective_bound": ball.effective_bound, "margin": ball.margin}
+    return CheckVerdict(check=check, status=status,
+                        parameters=tuple(sorted(params.items())),
+                        witnesses=tuple(witnesses), truncated=truncated)
 
 
 # -- girth ---------------------------------------------------------------------
@@ -209,27 +227,10 @@ def check_labeled_4wheel(ball, tree=None, max_cycles=DEFAULT_MAX_CYCLES):
             unfilled.append(cyc)
         else:
             filled.append((cyc, hit))
-    if unfilled:
-        status = UNRESOLVED
-        witnesses = tuple(unfilled)
-    elif scan.truncated or (not scan.cycles and _inner_radius(ball) < 1):
-        # the cap cut the scan short, or the ball is too thin to mean anything
-        status = UNRESOLVED
-        witnesses = ()
-    else:
-        status = VERIFIED
-        witnesses = tuple(filled)
-    return CheckVerdict(
-        check="4wheel", status=status,
-        parameters=_params(ball, cycles=len(scan.cycles),
-                           unfilled=len(unfilled)),
-        witnesses=witnesses, truncated=scan.truncated,
-    )
-
-
-def _inner_radius(ball):
-    margin = ball.margin if ball.margin is not None else 2
-    return ball.effective_bound - margin
+    return _verdict("4wheel", ball,
+                    {"cycles": len(scan.cycles), "unfilled": len(unfilled)},
+                    unresolved=unfilled, resolved=filled,
+                    truncated=scan.truncated)
 
 
 # -- linear-type partial order ---------------------------------------------------
@@ -240,9 +241,6 @@ class LinearOrderResult:
     orientation: tuple
     pairs: frozenset  # ordered (lower id, higher id) over inner vertices
     verdict: CheckVerdict
-
-    def less(self, x, y):
-        return (x, y) in self.pairs
 
 
 def _check_orientation(ball, orientation):
@@ -315,17 +313,11 @@ def linear_order(ball, orientation, sample_cap=4000):
         if not mids:
             problems.append(("gradedness", x, y))
     # a sampled gradedness check proves nothing about the unsampled pairs
-    if problems:
-        status = COUNTEREXAMPLE
-    else:
-        status = UNRESOLVED if truncated else VERIFIED
-    verdict = CheckVerdict(
-        check="order", status=status,
-        parameters=_params(ball, orientation="<".join(orientation),
-                           ordered_pairs=len(pairs),
-                           graded_samples=len(gap_pairs)),
-        witnesses=tuple(sorted(problems)), truncated=truncated,
-    )
+    verdict = _verdict("order", ball,
+                       {"orientation": "<".join(orientation),
+                        "ordered_pairs": len(pairs),
+                        "graded_samples": len(gap_pairs)},
+                       problems=sorted(problems), truncated=truncated)
     return LinearOrderResult(
         orientation=orientation, pairs=frozenset(pairs), verdict=verdict)
 
@@ -338,11 +330,8 @@ def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
     for a middle z with x_i <= z <= y_j for all i, j."""
     order = linear_order(ball, orientation)
     if order.verdict.status == COUNTEREXAMPLE:
-        return CheckVerdict(
-            check="bowtie", status=COUNTEREXAMPLE,
-            parameters=order.verdict.parameters,
-            witnesses=order.verdict.witnesses,
-        )
+        return _verdict("bowtie", ball, dict(order.verdict.parameters),
+                        problems=order.verdict.witnesses)
     pairs = order.pairs
     rank = {s: i for i, s in enumerate(order.orientation)}
     lower = {}
@@ -379,22 +368,12 @@ def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
             unresolved.append(quad)
         else:
             resolved.append((quad, hit))
-    if unresolved:
-        status = UNRESOLVED
-        witnesses = tuple(unresolved)
-    elif truncated or (not bowties and _inner_radius(ball) < 1):
-        status = UNRESOLVED
-        witnesses = ()
-    else:
-        status = VERIFIED
-        witnesses = tuple(resolved)
-    return CheckVerdict(
-        check="bowtie", status=status,
-        parameters=_params(ball, orientation="<".join(order.orientation),
-                           bowties=len(bowties), nontrivial=nontrivial,
-                           unresolved=len(unresolved)),
-        witnesses=witnesses, truncated=truncated,
-    )
+    return _verdict("bowtie", ball,
+                    {"orientation": "<".join(order.orientation),
+                     "bowties": len(bowties), "nontrivial": nontrivial,
+                     "unresolved": len(unresolved)},
+                    unresolved=unresolved, resolved=resolved,
+                    truncated=truncated)
 
 
 def wheel_fillers_from_bowties(ball, orientation, bowtie_verdict):

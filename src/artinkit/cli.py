@@ -65,7 +65,6 @@ def _build(d, args, types=None):
         d,
         types if types is not None else list(d.vertices),
         args.bound,
-        margin=args.margin,
         max_chambers=args.max_chambers,
     )
 
@@ -281,7 +280,6 @@ def _parser():
 
     def _ball_flags(p, with_cycles=False):
         p.add_argument("--bound", type=_positive, required=True)
-        p.add_argument("--margin", type=int, default=None)
         p.add_argument("--max-chambers", type=_positive,
                        default=complexes.DEFAULT_MAX_CHAMBERS)
         if with_cycles:

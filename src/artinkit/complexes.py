@@ -54,6 +54,9 @@ from .errors import (
 )
 
 DEFAULT_MAX_CHAMBERS = 30_000
+# a vertex is inner when its witness size is at most eff - MARGIN; the margin
+# is twice the canonical size of the full twist
+MARGIN = 2
 
 DOT_PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3",
@@ -247,7 +250,7 @@ def ball_from_json(d, blob, type_parabolic=None):
     eff = max((v.witness.size for v in vertices), default=0)
     return ComplexBall(
         ambient=d, types=types, type_parabolic=type_parabolic, bound=data["bound"],
-        effective_bound=eff, margin=None, chamber_count=None,
+        effective_bound=eff, margin=MARGIN, chamber_count=None,
         vertices=vertices, edges=data["edges"], inner=frozenset(data["inner"]),
         edge_witness=None, keys={}, shift=(eff + 1) // 2,
     )
@@ -296,7 +299,7 @@ def effective_bound(t, bound, max_chambers):
 # -- ball construction --------------------------------------------------------
 
 
-def build_ball(d, types, bound, *, margin=None, max_chambers=DEFAULT_MAX_CHAMBERS):
+def build_ball(d, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBERS):
     """Enumerated ball of the coset complex with vertex types `types`.
 
     Vertices of type s are cosets g·A_{S∖{s}}. The enumeration covers all
@@ -310,11 +313,10 @@ def build_ball(d, types, bound, *, margin=None, max_chambers=DEFAULT_MAX_CHAMBER
         raise ValueError("need at least one vertex type")
     allv = set(d.vertices)
     type_parabolic = {s: frozenset(allv - {s}) for s in types}
-    return _assemble(d, types, type_parabolic, bound, margin, max_chambers, d)
+    return _assemble(d, types, type_parabolic, bound, max_chambers, d)
 
 
-def build_folded_ball(folding, types, bound, *, margin=None,
-                      max_chambers=DEFAULT_MAX_CHAMBERS):
+def build_folded_ball(folding, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBERS):
     """Ball of the folded complex: type s' covers cosets of A_{S∖fiber(s')}."""
     report = dynkin.validate_folding(folding)
     if not report:
@@ -329,16 +331,14 @@ def build_folded_ball(folding, types, bound, *, margin=None,
     type_parabolic = {
         s: frozenset(allv - set(folding.fiber(s))) for s in types
     }
-    return _assemble(src, types, type_parabolic, bound, margin, max_chambers,
-                     folding.target)
+    return _assemble(src, types, type_parabolic, bound, max_chambers, folding.target)
 
 
 # chamber ordinals and vertex ids are kept in 32-bit signed arrays
 ID_LIMIT = 2 ** 31
 
 
-def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
-              type_diagram):
+def _assemble(d, types, type_parabolic, bound, max_chambers, type_diagram):
     """Build the ball in one pass over the chamber stream, a sibling group at
     a time (see the module docstring): each group claims the edges between
     its chambers' vertices that no earlier chamber has, as first-met vertex
@@ -354,8 +354,6 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
     for count in (chambers, chambers * len(types)):
         if count > ID_LIMIT:
             raise CapExceeded(ID_LIMIT, count)
-    if margin is None:
-        margin = 2  # twice the canonical size of the full twist
     shift = (eff + 1) // 2
     parabolics = [type_parabolic[s] for s in types]
     minima = [t.enumeration.coset_minima(X) for X in parabolics]
@@ -480,15 +478,13 @@ def _assemble(d, types, type_parabolic, bound, margin, max_chambers,
     edges = array("q", [e >> bits for e in firsts])
     del firsts  # freed before the neighbour arrays are built: a lower peak
 
-    inner = frozenset(
-        v.id for v in vertices if v.witness.size <= eff - margin
-    )
+    inner = frozenset(v.id for v in vertices if v.witness.size <= eff - MARGIN)
     for keyed in by_key:
         for packed, vid in keyed.items():
             keyed[packed] = newid[vid]
     return ComplexBall(
         ambient=d, types=types, type_parabolic=type_parabolic, bound=bound,
-        effective_bound=eff, margin=margin, chamber_count=len(last),
+        effective_bound=eff, margin=MARGIN, chamber_count=len(last),
         vertices=vertices, edges=edges, inner=inner,
         edge_witness=(ordinals, parents, last), keys=dict(zip(types, by_key)),
         shift=shift, type_diagram=type_diagram,
@@ -534,10 +530,9 @@ def build_coxeter_complex(d):
             rep = en.coset_minima(set(gens) - set(K))
             cosets = sum(1 for x in range(n) if rep[x] == x)
             chi += (-1) ** (size - 1) * cosets
-    if len(gens) <= 4 and len(gens) >= 1:
-        want = 2 if (len(gens) - 1) % 2 == 0 else 0
-        if chi != want:
-            raise InvariantViolated(f"Euler characteristic {chi} != {want}")
+    want = 2 if (len(gens) - 1) % 2 == 0 else 0  # a sphere of dimension |S| - 1
+    if chi != want:
+        raise InvariantViolated(f"Euler characteristic {chi} != {want}")
     return CoxeterComplex(
         group=d, vertices=tuple(vertices), edges=tuple(sorted(edges)),
         chamber_count=n, euler_characteristic=chi,

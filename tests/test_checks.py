@@ -298,6 +298,20 @@ def _folded_a3(bound):
     return cpx.build_folded_ball(q, ["a+c", "b"], bound)
 
 
+def _remade(b, extra=(), margin=None):
+    """b made by hand as a ComplexBall, with the `extra` edges and, given a
+    margin, that margin and its inner set: witness size <= eff - margin."""
+    inner = b.inner if margin is None else {
+        v.id for v in b.vertices if v.witness.size <= b.effective_bound - margin}
+    return cpx.ComplexBall(
+        ambient=b.ambient, types=b.types, type_parabolic=b.type_parabolic,
+        bound=b.bound, effective_bound=b.effective_bound,
+        margin=b.margin if margin is None else margin,
+        chamber_count=b.chamber_count, vertices=b.vertices,
+        edges=sorted(set(b.edges) | set(extra)), inner=inner, edge_witness={},
+        keys={}, shift=None)
+
+
 def _with_rival_fillers(b):
     """b with the least and the greatest b-type vertex, by (size, id), joined
     to the corners of its first induced 4-cycle. In the other cases every
@@ -307,26 +321,20 @@ def _with_rival_fillers(b):
     cyc = ck.find_induced_4cycles(b).cycles[0]
     bs = sorted((v.id for v in b.vertices if v.type == "b"), key=key.get)
     rivals = [z for z in (bs[0], bs[-1]) if not all(b.has_edge(z, c) for c in cyc)]
-    extra = {(min(z, c), max(z, c)) for z in rivals for c in cyc}
-    return cpx.ComplexBall(
-        ambient=b.ambient, types=b.types, type_parabolic=b.type_parabolic,
-        bound=b.bound, effective_bound=b.effective_bound, margin=b.margin,
-        chamber_count=b.chamber_count, vertices=b.vertices,
-        edges=sorted(set(b.edges) | extra), inner=b.inner, edge_witness={},
-        keys={}, shift=None)
+    return _remade(b, extra={(min(z, c), max(z, c)) for z in rivals for c in cyc})
 
 
-# name -> (ball, orientation). Margin 1 where the default margin leaves
-# nothing to fill: on H3 within 30,000 chambers (effective bound 2) and on D4
-# at bound 2 only the base chamber's vertices are inner. The folded ball has
-# girth 6, so it has no bowties and no cycles: its searches must not happen.
+# name -> (ball, orientation). Margin 1 where the fixed margin leaves nothing
+# to fill: on H3 within 30,000 chambers (effective bound 2) and on D4 at bound
+# 2 only the base chamber's vertices are inner. The folded ball has girth 6,
+# so it has no bowties and no cycles: its searches must not happen.
 FILLER_CASES = {
     "A3 rivals": lambda: (_with_rival_fillers(ball(A3, "abc", 4)), "abc"),
     "A3": lambda: (ball(A3, "abc", 5), "abc"),
     "B3": lambda: (ball(B3, "abc", 5), "abc"),
-    "H3": lambda: (ball(H3, "abc", 5, margin=1), "abc"),
+    "H3": lambda: (_remade(ball(H3, "abc", 5), margin=1), "abc"),
     "A3 a+c": lambda: (_folded_a3(5), ("a+c", "b")),
-    "D4": lambda: (ball(D4, "abcd", 2, margin=1), "acb"),
+    "D4": lambda: (_remade(ball(D4, "abcd", 2), margin=1), "acb"),
 }
 
 
@@ -375,6 +383,47 @@ def test_fillers_match_the_all_vertex_scan(name, monkeypatch):
         allowed = dynkin.smallest_subtree(tree, types).vertices
         assert z == _scan_filler(b, order, cyc, allowed), name
     assert all(v.truncated for v in capped) == bool(searches), name
+
+
+# -- the scope rule ---------------------------------------------------------------
+
+
+A4 = path("abcd", [3, 3, 3])
+# check -> (verdict on a ball, a count its scan reports, that count on A4)
+THIN_CHECKS = {
+    "bowtie": (lambda b: ck.check_bowtie_free(b, "abcd"), "bowties", 1),
+    "4wheel": (ck.check_labeled_4wheel, "cycles", 0),
+    "order": (lambda b: ck.linear_order(b, "abcd").verdict, "ordered_pairs", 6),
+}
+
+
+@pytest.mark.parametrize("check", sorted(THIN_CHECKS))
+def test_thin_ball_verdicts_are_unresolved(check):
+    # A4 at bound 2: 3,771 chambers, but only the base chamber's 4 vertices
+    # are inner. They are pairwise adjacent, so they make ordered pairs and
+    # a degenerate bowtie, and these prove nothing beyond the one chamber.
+    b = ball(A4, "abcd", 2)
+    assert (b.chamber_count, len(b.inner)) == (3771, 4)
+    assert b.effective_bound - b.margin < 1
+    verdict, count, found = THIN_CHECKS[check]
+    v = verdict(b)
+    assert (v.status, v.witnesses, v.parameter(count)) == (ck.UNRESOLVED, (), found)
+    assert v.parameter("margin") == cpx.MARGIN == 2
+
+
+def test_the_margin_is_fixed():
+    with pytest.raises(TypeError):
+        cpx.build_ball(A3, "abc", 3, margin=1)
+    with pytest.raises(TypeError):
+        cpx.build_folded_ball(dynkin.quotient_folding(A3, [("a", "c")]),
+                              ["a+c", "b"], 3, margin=1)
+
+
+def test_a_loaded_ball_reports_the_fixed_margin():
+    b = ball(A3, "abc", 3)
+    back = cpx.ball_from_json(A3, b.to_json_str())
+    assert back.margin == b.margin == cpx.MARGIN
+    assert ck.linear_order(back, "abc").verdict == ck.linear_order(b, "abc").verdict
 
 
 # -- pinned verdicts on the reference B3 ball -------------------------------------

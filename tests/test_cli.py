@@ -208,6 +208,22 @@ def test_bowtie_truncated_scan_exits1():
     assert "truncated" in r.stdout
 
 
+def test_order_thin_ball_unresolved():
+    # B3 at bound 2: only the base chamber's 3 vertices are inner
+    b3 = str(Path(__file__).parent / "corpus" / "b3.dyn")
+    r = run("check", "order", b3, "--bound", "2")
+    assert r.returncode == 1
+    assert r.stdout.startswith("order: UNRESOLVED")
+    assert "ordered_pairs=3" in r.stdout
+
+
+def test_margin_is_not_an_option(dyn):
+    p = dyn("A3.dyn", A3)
+    r = run("check", "order", p, "--bound", "3", "--margin", "0")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --margin 0" in r.stderr
+
+
 def test_order_verified(dyn):
     p = dyn("A3.dyn", A3)
     r = run("check", "order", p, "--bound", "3")

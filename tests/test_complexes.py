@@ -16,6 +16,7 @@ from artinkit.errors import (
     CapExceeded,
     GroupMismatch,
     InvalidFolding,
+    InvariantViolated,
     NotSpherical,
     PreconditionFailed,
     VertexNotInner,
@@ -445,7 +446,7 @@ def _batch(t, delta, seq, X, shift, monkeypatch):
 
 
 def test_coset_keys_falls_back_without_a_left_weighted_delta_coset(monkeypatch):
-    t = ga.table(B3)
+    t = ga.GarsideTable(B3)  # fresh, so its (∅, 3) plan is made under the counter
     b = t.gen["b"]
     seq = (t.rmul[b][t.rank["c"]],)  # bc
     # Δ^d·A_∅ = Δ^d: e = d = 3 and m = (), so each child is keyed as it
@@ -709,6 +710,25 @@ def test_coxeter_complex_frozen_shapes():
     cc1 = cpx.build_coxeter_complex(d1)
     assert (len(cc1.vertices), len(cc1.edges)) == (2, 0)
     assert cc1.euler_characteristic == 2
+
+
+def test_coxeter_complex_euler_characteristic_at_every_rank(monkeypatch):
+    # the complex is a sphere of dimension |S| - 1 at every rank, rank 0 too
+    A5 = path("abcde", [3, 3, 3, 3])
+    empty = dynkin.DynkinDiagram((), ())
+    assert cpx.build_coxeter_complex(A5).euler_characteristic == 2
+    assert cpx.build_coxeter_complex(empty).euler_characteristic == 0
+    minima = cx.Enumeration.coset_minima
+
+    def one_chamber_short(en, X):
+        rep = list(minima(en, X))
+        if not X:  # the chambers, the cosets of W_∅: count one fewer
+            rep[-1] = 0
+        return rep
+
+    monkeypatch.setattr(cx.Enumeration, "coset_minima", one_chamber_short)
+    with pytest.raises(InvariantViolated, match="Euler characteristic 1 != 2"):
+        cpx.build_coxeter_complex(A5)
 
 
 def test_coxeter_complex_dihedral_cycle():
