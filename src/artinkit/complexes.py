@@ -304,16 +304,11 @@ def build_ball(d, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBERS):
 
     Vertices of type s are cosets g·A_{S∖{s}}. The enumeration covers all
     chambers of canonical size ≤ effective_bound, where effective_bound is
-    the largest radius ≤ bound whose full layers fit in max_chambers.
+    the largest radius ≤ bound whose full layers fit in max_chambers. It is
+    the folded ball of the identity folding.
     """
-    if not dynkin.is_spherical(d):
-        raise NotSpherical("ball ambient diagram must be spherical")
-    types = [s for s in d.vertices if s in set(types)]
-    if not types:
-        raise ValueError("need at least one vertex type")
-    allv = set(d.vertices)
-    type_parabolic = {s: frozenset(allv - {s}) for s in types}
-    return _assemble(d, types, type_parabolic, bound, max_chambers, d)
+    return build_folded_ball(dynkin.identity_folding(d), types, bound,
+                             max_chambers=max_chambers)
 
 
 def build_folded_ball(folding, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBERS):
@@ -323,14 +318,12 @@ def build_folded_ball(folding, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBER
         raise InvalidFolding("; ".join(report.problems))
     src = folding.source
     if not dynkin.is_spherical(src):
-        raise NotSpherical("folded ball needs a spherical source diagram")
+        raise NotSpherical("a ball needs a spherical diagram")
     types = [s for s in folding.target.vertices if s in set(types)]
     if not types:
         raise ValueError("need at least one vertex type")
     allv = set(src.vertices)
-    type_parabolic = {
-        s: frozenset(allv - set(folding.fiber(s))) for s in types
-    }
+    type_parabolic = {s: frozenset(allv - set(folding.fiber(s))) for s in types}
     return _assemble(src, types, type_parabolic, bound, max_chambers, folding.target)
 
 
@@ -356,9 +349,9 @@ def _assemble(d, types, type_parabolic, bound, max_chambers, type_diagram):
             raise CapExceeded(ID_LIMIT, count)
     shift = (eff + 1) // 2
     parabolics = [type_parabolic[s] for s in types]
-    minima = [t.enumeration.coset_minima(X) for X in parabolics]
+    minima = [t.coset_minima(X) for X in parabolics]
     pairs = list(combinations(range(len(types)), 2))
-    pair_minima = [t.enumeration.coset_minima(parabolics[i] & parabolics[j])
+    pair_minima = [t.coset_minima(parabolics[i] & parabolics[j])
                    for i, j in pairs]
     key, keys, follows, rdesc = t.coset_key, t.coset_keys, t.follows, t.rdesc
     by_key = [{} for _ in parabolics]
@@ -507,18 +500,17 @@ def build_coxeter_complex(d):
     """The exact full coset complex of the finite Coxeter group of d."""
     if not dynkin.is_spherical(d):
         raise NotSpherical("Coxeter complex requires a spherical diagram")
-    en = ga.table(d).enumeration
-    gens = d.vertices
-    n = len(en.words)
+    t = ga.table(d)
+    gens, n = d.vertices, t.n
     # a coset first appears at its minimal element, so ids follow ShortLex
-    reps = {s: en.coset_minima(set(gens) - {s}) for s in gens}
+    reps = {s: t.coset_minima(set(gens) - {s}) for s in gens}
     vertices = []
     vid_of = {}
     for s in gens:
         for x in range(n):
             if reps[s][x] == x:
                 vid_of[(s, x)] = len(vertices)
-                vertices.append((len(vertices), s, en.words[x]))
+                vertices.append((len(vertices), s, t.words[x]))
     edges = {(min(a, b), max(a, b)) for x in range(n) for a, b in
              combinations([vid_of[(s, reps[s][x])] for s in gens], 2)}
 
@@ -527,7 +519,7 @@ def build_coxeter_complex(d):
     chi = 0
     for size in range(1, len(gens) + 1):
         for K in combinations(gens, size):
-            rep = en.coset_minima(set(gens) - set(K))
+            rep = t.coset_minima(set(gens) - set(K))
             cosets = sum(1 for x in range(n) if rep[x] == x)
             chi += (-1) ** (size - 1) * cosets
     want = 2 if (len(gens) - 1) % 2 == 0 else 0  # a sphere of dimension |S| - 1
@@ -566,13 +558,11 @@ def apartment_cycle(d, types=None, base=None):
     if base is None:
         base = ga.identity(d)
     t = ga.table(d)
-    en = t.enumeration
-    gens = d.vertices
-    reps = {s: en.coset_minima(set(gens) - {s}) for s in types}
+    reps = {s: t.coset_minima(set(d.vertices) - {s}) for s in types}
     verts = []
     vid_of = {}
     rows = []
-    for x in range(len(en.words)):
+    for x in range(t.n):
         row = []
         for s in types:
             key = (s, reps[s][x])

@@ -147,26 +147,6 @@ class Enumeration:
     parent: list
     last: list
 
-    def coset_minima(self, T):
-        """rep[x] = index of the minimal element of the coset x·W_T.
-
-        x is minimal iff no right descent of x lies in T; otherwise x·s is
-        shorter for such a descent s, lies in the same coset and comes
-        earlier in ShortLex order.
-        """
-        ks = [k for k, s in enumerate(self.gens) if s in T]
-        length = [len(w) for w in self.words]
-        rep = []
-        for x, row in enumerate(self.rmul):
-            for k in ks:
-                y = row[k]
-                if length[y] < length[x]:
-                    rep.append(rep[y])
-                    break
-            else:
-                rep.append(x)
-        return rep
-
 
 class _Engine:
     """Per-diagram engine: the numbers game on the geometric representation."""

@@ -17,12 +17,13 @@ statements):
     edge b c 4
 
 JSON mirror: {"vertices": ["a","b","c"], "edges": [["a","b",3],["b","c",4]]}
-with "inf" for the infinite label.  A parsed vertex name may not contain "+":
-a folding names each fiber by "+"-joining its vertices, so a plain name and
-a fiber name never clash.  Emission is sorted (vertices
-lexicographic, edges lexicographic) so emitted files are byte-stable; note
-that re-parsing an emitted file therefore yields lexicographic declaration
-order, not the original one.
+with "inf" for the infinite label.  One reader takes both: it turns either
+into statements (line, directive, arguments) and checks them in one loop.
+One vertex-name rule holds for both formats: a name is one non-empty token
+with no whitespace and none of `# ; | ^ +`.  A folding names each fiber by
+"+"-joining its vertices, so a parsed name and a fiber name never clash.
+Emission is sorted (vertices lexicographic, edges lexicographic) so emitted
+files are byte-stable; re-parsing one yields lexicographic declaration order.
 """
 
 from __future__ import annotations
@@ -237,93 +238,90 @@ def _parse_label(tok, lineno):
     return m
 
 
-_PLUS = "vertex name {!r} contains '+', which joins the vertices of a fiber"
+# characters a vertex name may not hold, and what each one means elsewhere
+_RESERVED = {
+    "+": "joins the vertices of a fiber",
+    "#": "starts a comment",
+    ";": "separates statements",
+    "|": "separates the factors of an element",
+    "^": "marks an inverse letter",
+}
 
 
-def parse_diagram(text):
-    """Parse the text format or its JSON mirror into a DynkinDiagram."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(stripped)
-    verts = []
-    vset = set()
-    edges = []
-    eset = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for stmt in line.split(";"):
-            toks = stmt.split()
-            if not toks:
-                continue
-            if toks[0] == "vertices":
-                if len(toks) < 2:
-                    raise ParseError(lineno, "vertices line needs at least one name")
-                for name in toks[1:]:
-                    if name in vset:
-                        raise ParseError(lineno, f"duplicate vertex {name!r}")
-                    if "+" in name:
-                        raise ParseError(lineno, _PLUS.format(name))
-                    vset.add(name)
-                    verts.append(name)
-            elif toks[0] == "edge":
-                if len(toks) != 4:
-                    raise ParseError(lineno, "edge line needs: edge <u> <v> <label>")
-                u, v, tok = toks[1], toks[2], toks[3]
-                if u not in vset or v not in vset:
-                    raise ParseError(lineno, f"edge ({u},{v}) uses undeclared vertex")
-                if u == v:
-                    raise ParseError(lineno, f"loop edge at {u!r}")
-                key = frozenset((u, v))
-                if key in eset:
-                    raise ParseError(lineno, f"duplicate edge ({u},{v})")
-                eset.add(key)
-                edges.append((u, v, _parse_label(tok, lineno)))
-            else:
-                raise ParseError(lineno, f"unknown directive {toks[0]!r}")
-    return DynkinDiagram(tuple(verts), tuple(edges))
+def _check_name(name, lineno):
+    """The vertex-name rule of both formats: one non-empty token with no
+    whitespace and none of the reserved characters, so that every parsed
+    diagram, and every element over it, can be written back and read."""
+    if name.split() != [name]:
+        raise ParseError(lineno, f"vertex name {name!r} is not one token")
+    for c, meaning in _RESERVED.items():
+        if c in name:
+            raise ParseError(
+                lineno, f"vertex name {name!r} contains {c!r}, which {meaning}")
 
 
-def _parse_json(text):
+def _json_statements(text):
+    """The JSON mirror as text-format statements, all at line 1, after the
+    checks that belong to JSON itself."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"bad JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # a number too long, or nesting too deep
+        raise ParseError(1, f"bad JSON: {exc}")
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ParseError(1, "JSON diagram needs a 'vertices' key")
-    verts = obj["vertices"]
+    verts, edges = obj["vertices"], obj.get("edges", [])
     if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
         raise ParseError(1, "'vertices' must be a list of strings")
-    if len(set(verts)) != len(verts):
-        raise ParseError(1, "duplicate vertex in JSON 'vertices'")
-    for name in verts:
-        if "+" in name:
-            raise ParseError(1, _PLUS.format(name))
-    vset = set(verts)
-    edges = []
-    eset = set()
-    for entry in obj.get("edges", []):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(1, f"edge entry must be [u, v, label], got {entry!r}")
-        u, v, m = entry
-        if u not in vset or v not in vset:
-            raise ParseError(1, f"edge ({u},{v}) uses undeclared vertex")
-        if u == v:
-            raise ParseError(1, f"loop edge at {u!r}")
-        key = frozenset((u, v))
-        if key in eset:
-            raise ParseError(1, f"duplicate edge ({u},{v})")
-        eset.add(key)
-        if m == "inf":
-            label = INFINITY
-        elif isinstance(m, int) and not isinstance(m, bool):
-            if m < 3:
-                raise LabelError(
-                    f"explicit label {m} is not allowed (label 2 means: omit the edge)"
-                )
-            label = m
-        else:
+    if not isinstance(edges, list):
+        raise ParseError(1, "'edges' must be a list")
+    out = [(1, "vertices", verts)] if verts else []
+    for entry in edges:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(isinstance(v, str) for v in entry[:2])):
+            raise ParseError(
+                1, f"edge entry must be [u, v, label] with string ends, got {entry!r}")
+        m = entry[2]
+        if m != "inf" and type(m) is not int:  # not bool, float or "3"
             raise ParseError(1, f"label must be an integer >= 3 or 'inf', got {m!r}")
-        edges.append((u, v, label))
+        out.append((1, "edge", entry[:2] + [str(m)]))
+    return out
+
+
+def parse_diagram(text):
+    """Parse the text format or its JSON mirror into a DynkinDiagram: both are
+    read as statements (line, directive, arguments) and checked in one loop."""
+    if text.lstrip().startswith("{"):
+        stmts = _json_statements(text)
+    else:
+        stmts = ((lineno, toks[0], toks[1:])
+                 for lineno, raw in enumerate(text.splitlines(), start=1)
+                 for toks in map(str.split, raw.split("#", 1)[0].split(";")) if toks)
+    verts, edges, seen = {}, [], set()
+    for lineno, directive, args in stmts:
+        if directive == "vertices":
+            if not args:
+                raise ParseError(lineno, "vertices line needs at least one name")
+            for name in args:
+                if name in verts:
+                    raise ParseError(lineno, f"duplicate vertex {name!r}")
+                _check_name(name, lineno)
+                verts[name] = None
+        elif directive == "edge":
+            if len(args) != 3:
+                raise ParseError(lineno, "edge line needs: edge <u> <v> <label>")
+            u, v, tok = args
+            if u not in verts or v not in verts:
+                raise ParseError(lineno, f"edge ({u},{v}) uses undeclared vertex")
+            if u == v:
+                raise ParseError(lineno, f"loop edge at {u!r}")
+            if frozenset((u, v)) in seen:
+                raise ParseError(lineno, f"duplicate edge ({u},{v})")
+            seen.add(frozenset((u, v)))
+            edges.append((u, v, _parse_label(tok, lineno)))
+        else:
+            raise ParseError(lineno, f"unknown directive {directive!r}")
     return DynkinDiagram(tuple(verts), tuple(edges))
 
 

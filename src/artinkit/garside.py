@@ -85,8 +85,7 @@ class GarsideTable:
         if needed > MAX_TABLE:
             raise CapExceeded(MAX_TABLE, needed)
         self.d = d
-        # kept for the coset-minima rows of balls, complexes and apartments
-        self.enumeration = en = cx.engine(d).enumerate(cap=MAX_TABLE)
+        en = cx.engine(d).enumerate(cap=MAX_TABLE)
         self.words = words = en.words
         self.n = n = len(words)
         self.length = length = [len(w) for w in words]
@@ -171,6 +170,16 @@ class GarsideTable:
         the first serialization: a table never printed pays nothing."""
         sep = " " if _needs_spaces(self.d) else ""
         return [sep.join(w) for w in self.words]
+
+    def coset_minima(self, X):
+        """rep[x] = index of the minimal element of the coset x·W_X: x itself
+        when no right descent of x lies in X, otherwise that of x·s for the
+        least such s, which is shorter and so comes earlier in ShortLex order."""
+        mask, rmul, rep = sum(1 << self.rank[s] for s in X), self.rmul, []
+        for x, r in enumerate(self.rdesc):
+            down = r & mask
+            rep.append(rep[rmul[x][(down & -down).bit_length() - 1]] if down else x)
+        return rep
 
     def w0_parabolic(self, X):
         """Index of the longest element of W_X, by right ascents in X."""

@@ -304,6 +304,35 @@ def test_gate_rejects_plus_in_a_vertex_name_exit2(dyn):
                         " which joins the vertices of a fiber\n")
 
 
+# malformed diagrams that once reached the user as a traceback (exit 1, the
+# code of UNRESOLVED), or were read and then failed inside a command
+MALFORMED = {
+    "edges not a list": ('{"vertices": ["a", "b"], "edges": 5}', ["gate", "{}"],
+                         "'edges' must be a list"),
+    "edge end not a string": ('{"vertices": ["a", "b"], "edges": [[["a"], "b", 3]]}',
+                              ["check", "4wheel", "{}", "--bound", "3"],
+                              "edge entry must be [u, v, label] with string ends,"
+                              " got [['a'], 'b', 3]"),
+    "JSON name with a space": ('{"vertices": ["a b", "c"], "edges": [["a b", "c", 3]]}',
+                               ["fuzz", "{}"], "vertex name 'a b' is not one token"),
+    "text name with a bar": ("vertices a|b c\n", ["classify", "{}"],
+                             "vertex name 'a|b' contains '|',"
+                             " which separates the factors of an element"),
+    "text name with a caret": ("vertices a^-1 a\n", ["word", "{}", "a^-1"],
+                               "vertex name 'a^-1' contains '^',"
+                               " which marks an inverse letter"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_diagram_exit2_without_traceback(dyn, name):
+    text, argv, reason = MALFORMED[name]
+    p = dyn("f.dyn", text)
+    r = run(*(a.format(p) for a in argv))  # {} is the file
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: line 1: {reason}\n"
+
+
 def test_gate_directory_empty_exit2(tmp_path):
     r = run("gate", str(tmp_path))
     assert r.returncode == 2

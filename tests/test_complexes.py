@@ -116,7 +116,7 @@ def _vertex_rows(t, eff, parabolics, shift, by_key, witness_of, parents):
     earlier sibling, normal as L(w^X) ⊆ L(w). So every vertex is first met
     at a chamber that computes its key.
     """
-    minima = [t.enumeration.coset_minima(X) for X in parabolics]
+    minima = [t.coset_minima(X) for X in parabolics]
     key = t.coset_key
     n = len(parabolics)
     rows = []  # flat: chamber c's vertex for parabolics[i] at c·n + i
@@ -401,7 +401,7 @@ KEYER_CASES = {
 def _sibling_groups(t, eff, X):
     """(Δ power, factors, X-minimal children) of every chamber of a ball of
     radius eff that has children: those of canonical size below eff."""
-    rep = t.enumeration.coset_minima(X)
+    rep = t.coset_minima(X)
     for delta, seq in _chambers(t, eff - 1):
         kids = [w for w in (t.follows[seq[-1]] if seq else t.proper) if rep[w] == w]
         if kids:
@@ -718,15 +718,15 @@ def test_coxeter_complex_euler_characteristic_at_every_rank(monkeypatch):
     empty = dynkin.DynkinDiagram((), ())
     assert cpx.build_coxeter_complex(A5).euler_characteristic == 2
     assert cpx.build_coxeter_complex(empty).euler_characteristic == 0
-    minima = cx.Enumeration.coset_minima
+    minima = ga.GarsideTable.coset_minima
 
-    def one_chamber_short(en, X):
-        rep = list(minima(en, X))
+    def one_chamber_short(t, X):
+        rep = list(minima(t, X))
         if not X:  # the chambers, the cosets of W_∅: count one fewer
             rep[-1] = 0
         return rep
 
-    monkeypatch.setattr(cx.Enumeration, "coset_minima", one_chamber_short)
+    monkeypatch.setattr(ga.GarsideTable, "coset_minima", one_chamber_short)
     with pytest.raises(InvariantViolated, match="Euler characteristic 1 != 2"):
         cpx.build_coxeter_complex(A5)
 
@@ -978,13 +978,18 @@ def test_folded_ball_rejects_invalid_folding():
         cpx.build_folded_ball(bad, ["x", "c"], 3)
 
 
-def test_json_export_shape_and_roundtrip():
-    b = cpx.build_ball(A2, ["a", "b"], 3)
+# multi-letter names are written with spaces between the letters of a factor
+B3_NAMED = dynkin.parse_diagram("vertices s1 s2 t\nedge s1 s2 4; edge s2 t 3")
+
+
+@pytest.mark.parametrize("d", [A2, B3_NAMED], ids=["A2", "B3 s1,s2,t"])
+def test_json_export_shape_and_roundtrip(d):
+    b = cpx.build_ball(d, d.vertices, 3)
     blob = b.to_json()
     assert set(blob) == {"vertices", "edges", "inner", "bound"}
     assert blob["bound"] == 3
     assert all(set(v) == {"id", "type", "witness"} for v in blob["vertices"])
-    back = cpx.ball_from_json(A2, json.dumps(blob))
+    back = cpx.ball_from_json(d, json.dumps(blob))
     assert [(v.id, v.type, ga.serialize(v.witness)) for v in back.vertices] \
         == [(v.id, v.type, ga.serialize(v.witness)) for v in b.vertices]
     assert back.edges == b.edges

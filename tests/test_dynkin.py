@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -72,18 +73,33 @@ edge a c inf
 """
 
 
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.dyn"))
+
+
+def _sorted_names(d):
+    # emission sorts the names, so a re-read diagram declares them sorted
+    return dy.DynkinDiagram(tuple(sorted(d.vertices)), d.edges)
+
+
 def test_parse_text_roundtrip():
     d = dy.parse_diagram(SAMPLE_TEXT)
     assert d.vertices == ("a", "b", "c")
     assert d.label("a", "c") == dy.INFINITY
     again = dy.parse_diagram(d.to_text())
     assert again == d
+    for path in CORPUS:
+        d = dy.parse_diagram(path.read_text(encoding="utf-8"))
+        assert dy.parse_diagram(d.to_text()) == _sorted_names(d), path.name
 
 
 def test_parse_json_roundtrip():
     d = dy.path_diagram("abc", [3, 5])
     blob = json.dumps(d.to_json())
     assert dy.parse_diagram(blob) == d
+    assert dy.parse_diagram('{"vertices": []}') == dy.DynkinDiagram((), ())
+    for path in CORPUS:
+        d = dy.parse_diagram(path.read_text(encoding="utf-8"))
+        assert dy.parse_diagram(json.dumps(d.to_json())) == _sorted_names(d), path.name
 
 
 def test_parse_errors():
@@ -94,6 +110,88 @@ def test_parse_errors():
     assert err.value.line == 2
     with pytest.raises(ParseError):
         dy.parse_diagram("edge a b 3\n")  # vertices never declared
+
+
+# Every rule of the one reader, as (text, JSON mirror, error, message): the
+# offending statement is on the text's last line, and JSON reports line 1.
+# None marks what a format cannot say: a text name never holds whitespace,
+# '#' or ';', and JSON has only its two keys and its own typed values.
+def AB(*edges):
+    return {"vertices": ["a", "b"], "edges": list(edges)}
+
+
+LABEL = "label must be an integer >= 3 or 'inf', got "
+NAME = "vertex name "
+READER_RULES = {
+    "duplicate vertex": ("vertices a b\nvertices a", {"vertices": ["a", "b", "a"]},
+                         ParseError, "duplicate vertex 'a'"),
+    "undeclared end": ("vertices a b\nedge a q 3", AB(["a", "q", 3]),
+                       ParseError, r"edge \(a,q\) uses undeclared vertex"),
+    "loop": ("vertices a b\nedge a a 3", AB(["a", "a", 3]),
+             ParseError, "loop edge at 'a'"),
+    "repeated edge": ("vertices a b\nedge a b 3\nedge a b 4",
+                      AB(["a", "b", 3], ["a", "b", 4]),
+                      ParseError, r"duplicate edge \(a,b\)"),
+    "repeated edge reversed": ("vertices a b\nedge a b 3; edge b a 3",
+                               AB(["a", "b", 3], ["b", "a", 3]),
+                               ParseError, r"duplicate edge \(b,a\)"),
+    "label 2": ("vertices a b\nedge a b 2", AB(["a", "b", 2]), LabelError,
+                r"explicit label 2 is not allowed \(label 2 means: omit the edge\)"),
+    "label x": ("vertices a b\nedge a b x", AB(["a", "b", "x"]), ParseError, LABEL + "'x'"),
+    "label true": (None, AB(["a", "b", True]), ParseError, LABEL + "True"),
+    "label 3.0": (None, AB(["a", "b", 3.0]), ParseError, LABEL + "3.0"),
+    "label '3'": (None, AB(["a", "b", "3"]), ParseError, LABEL + "'3'"),
+    "unknown directive": ("vertices a b\nnode c", None,
+                          ParseError, "unknown directive 'node'"),
+    "empty vertices": ("vertices a\nvertices", None,
+                       ParseError, "vertices line needs at least one name"),
+    "short edge": ("vertices a b\nedge a b", AB(["a", "b"]), ParseError,
+                   "edge (line needs: edge <u> <v> <label>|entry must be)"),
+    "edges not a list": (None, {"vertices": ["a", "b"], "edges": 5},
+                         ParseError, "'edges' must be a list"),
+    "edge end not a string": (None, AB([["a"], "b", 3]), ParseError,
+                              r"edge entry must be \[u, v, label\] with string ends"),
+    "vertices not strings": (None, {"vertices": ["a", 1]},
+                             ParseError, "'vertices' must be a list of strings"),
+    "no vertices key": (None, {"edges": []},
+                        ParseError, "JSON diagram needs a 'vertices' key"),
+    "name 'a b'": (None, {"vertices": ["a b", "c"]},
+                   ParseError, NAME + "'a b' is not one token"),
+    "empty name": (None, {"vertices": [""]}, ParseError, NAME + "'' is not one token"),
+    "name 'x#y'": (None, {"vertices": ["x#y"]},
+                   ParseError, NAME + "'x#y' contains '#', which starts a comment"),
+    "name 'c;d'": (None, {"vertices": ["c;d"]},
+                   ParseError, NAME + "'c;d' contains ';', which separates statements"),
+    "name 'a|b'": ("vertices a|b c", {"vertices": ["a|b", "c"]}, ParseError,
+                   NAME + r"'a\|b' contains '\|', which separates the factors of an element"),
+    "name 'a^-1'": ("vertices a^-1 a", {"vertices": ["a^-1", "a"]}, ParseError,
+                    NAME + r"'a\^-1' contains '\^', which marks an inverse letter"),
+    "name 'a+b'": ("vertices o\nvertices a+b", {"vertices": ["o", "a+b"]}, ParseError,
+                   NAME + r"'a\+b' contains '\+', which joins the vertices of a fiber"),
+}
+READER_CASES = [(rule, fmt) for rule, row in READER_RULES.items()
+                for fmt, given in zip(("text", "json"), row) if given is not None]
+
+
+@pytest.mark.parametrize("rule,fmt", READER_CASES,
+                         ids=[f"{rule}-{fmt}" for rule, fmt in READER_CASES])
+def test_reader_rule_on_both_formats(rule, fmt):
+    text, obj, error, message = READER_RULES[rule]
+    if fmt == "text":
+        given, line = text, text.count("\n") + 1
+    else:
+        given, line = json.dumps(obj), 1
+    with pytest.raises(error, match=rf"^line {line}: {message}"):
+        dy.parse_diagram(given)
+
+
+@pytest.mark.parametrize("blob", [
+    '{"vertices": ["a"], "edges": [["a", "a", 1%s]]}' % ("0" * 5000),
+    '{"vertices": ' + "[" * 100_000,
+], ids=["number too long", "nesting too deep"])
+def test_reader_refuses_json_that_the_decoder_cannot_hold(blob):
+    with pytest.raises(ParseError, match="^line 1: bad JSON: "):
+        dy.parse_diagram(blob)
 
 
 # classification -----------------------------------------------------------

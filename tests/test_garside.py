@@ -776,6 +776,20 @@ def test_coset_plan_is_the_delta_free_minimal_representative(d):
                 ref.coset_key((k, ()), X, 0)), (X, k)
 
 
+@pytest.mark.parametrize("d", [A3, B3, H3, D4], ids=["A3", "B3", "H3", "D4"])
+def test_coset_minima_are_the_gates_of_the_numbers_game(d):
+    # the table's rows against `gate_projection`, which peels descents off
+    # the numbers-game state and reads no table
+    t = ga.table(d)
+    gens = d.vertices
+    for X in (frozenset(c) for r in range(len(gens) + 1)
+              for c in itertools.combinations(gens, r)):
+        rep = t.coset_minima(X)
+        for x, word in enumerate(t.words):
+            gate = cx.gate_projection(cx.CoxeterElement(d, word), X).gate
+            assert t.words[rep[x]] == gate.word, (X, word)
+
+
 def test_coset_key_sweeps_a_sequence_that_is_not_left_weighted(monkeypatch):
     t = ga.table(B3)
     a, b, w0 = t.gen["a"], t.gen["b"], t.w0i
@@ -880,8 +894,8 @@ complexes.apartment_cycle(d)
     # every element claimed minimal in its coset: each face count of the
     # B3 complex becomes |W| = 48, and so does the alternating sum
     "Euler characteristic 48 != 2": """
-from artinkit import complexes, coxeter
-coxeter.Enumeration.coset_minima = lambda en, T: list(range(len(en.words)))
+from artinkit import complexes
+ga.GarsideTable.coset_minima = lambda t, X: list(range(t.n))
 complexes.build_coxeter_complex(d)
 """,
     # the np-form primitive hands back a negative half
