@@ -271,6 +271,10 @@ def _json_statements(text):
         raise ParseError(1, f"bad JSON: {exc}")
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ParseError(1, "JSON diagram needs a 'vertices' key")
+    unknown = sorted(obj.keys() - {"vertices", "edges"})
+    if unknown:
+        raise ParseError(1, f"unknown key {unknown[0]!r}: a JSON diagram has only"
+                            " 'vertices' and 'edges'")
     verts, edges = obj["vertices"], obj.get("edges", [])
     if not isinstance(verts, list) or not all(isinstance(v, str) for v in verts):
         raise ParseError(1, "'vertices' must be a list of strings")

@@ -10,19 +10,20 @@ support, τ and the complements in Δ.
 
 Normal forms come out of `_sweep`, which appends simples by right-to-left
 sweeps of left-weightings (the domino rule), one sweep per word. Its mirror
-right-weights from the left into the right normal form, off which pn-forms
-are read as np-forms are read off the left one. An inverse is the reversed
-complements ∂f = f⁻¹·Δ, already normal (Epstein et al., Word Processing in
-Groups, ch. 9). Gcd and lcm are fractions (Dehornoy et al., Foundations of
-Garside Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ coprime, x ∧ y =
-x·a⁻¹ and x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
+`_push` appends to a right normal form, off which pn-forms are read as
+np-forms are read off the left one. An inverse is the reversed complements
+∂f = f⁻¹·Δ, already normal (Epstein et al., Word Processing in Groups,
+ch. 9). Gcd and lcm are fractions (Dehornoy et al., Foundations of Garside
+Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ coprime, x ∧ y = x·a⁻¹ and
+x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
 
-A coset key is the packed normal form of the minimal positive representative
-of g·A_X. `GarsideTable.coset_keys` is the one keyer, over the children of
-one chamber and a plan made once per (X, Δ power); `coset_key` is its
-one-child case. The pair steps and the keyer read flat tables keyed by
-u·|W| + v, each entry made on its first lookup, so time and memory follow
-the pairs met, not |W|².
+A coset key is the packed right normal form of the minimal positive
+representative of g·A_X: while the last factor h is not X-minimal, h is
+popped and the minimal representative of h·W_X pushed. `coset_keys` is the
+one keyer, over the children of one chamber and a plan made once per (X, Δ
+power); `coset_key` is its one-child case. The pair steps read flat tables
+keyed by u·|W| + v, each entry made on its first lookup, so time and memory
+follow the pairs met, not |W|².
 
 Conventions: inf(x) = delta_power, sup(x) = delta_power + number of factors,
 size(x) = |delta_power| + number of factors (the canonical size used for
@@ -127,11 +128,8 @@ class GarsideTable:
         # flat tables keyed by u·n + v, filled on first lookup
         self._left_weight = {}  # left-weighted pair for u·v, () if normal
         self._right_weight = {}  # the mirror: keyed v·n + u for the pair u·v
-        self._divide = {}  # (j·u⁻¹, j·v⁻¹) for j = u ∨_R v
-        # X → row of meet_r(x, Δ_X), the largest right-divisor of x in W_X
-        self._cut = {}
+        self._minima = {}  # X → `coset_minima`(X), which the strip reads
         self._coset_plans = {}  # (X, d) → the shared part of `coset_keys`
-        self._index_bytes = array("H", range(n)).tobytes()  # x at [2x:2x + 2]
 
     def product(self, u, v):
         """u·v in W, by ℓ(v) steps of right multiplication."""
@@ -190,15 +188,12 @@ class GarsideTable:
 
     # -- normal form over raw (delta_power, factor index tuple) ----------
 
-    def _sweep(self, fs, gs, mirror=False):
+    def _sweep(self, fs, gs):
         """Append each simple of gs to the left-weighted list fs, in place:
         pairs are left-weighted from the right up to the first normal one (the
         domino rule). Only the first step can leave an identity, at the end,
-        as a left-weighted (f, g) with g ≠ 1 never has f·g simple. With
-        `mirror`, it right-weights instead, on lists kept last factor first."""
-        n = self.n
-        lw, weigh = ((self._right_weight, self._right_weighted) if mirror
-                     else (self._left_weight, self._left_weighted))
+        as a left-weighted (f, g) with g ≠ 1 never has f·g simple."""
+        n, lw = self.n, self._left_weight
         for g in gs:
             i = len(fs)
             fs.append(g)
@@ -208,7 +203,7 @@ class GarsideTable:
                 try:
                     step = lw[f * n + g]
                 except KeyError:
-                    step = lw[f * n + g] = weigh(f, g)
+                    step = lw[f * n + g] = self._left_weighted(f, g)
                 if not step:
                     break
                 g, fs[i + 1] = step
@@ -216,6 +211,32 @@ class GarsideTable:
             if fs[-1] == 0:
                 fs.pop()
         return fs
+
+    def _push(self, hs, g):
+        """Append the simple g to the right normal form hs, in place: pairs are
+        right-weighted from the right up to the first that stands, the mirror
+        of `_sweep`. A left factor 1 is dropped and ends it: the pair before
+        it stands, as L(f) ⊆ L(f·g) when f·g is simple."""
+        if not g:
+            return hs
+        n, rw = self.n, self._right_weight
+        i = len(hs)
+        hs.append(g)
+        while i:  # g is hs[i], the right end of the pair (hs[i - 1], g)
+            i -= 1
+            f = hs[i]
+            try:
+                step = rw[g * n + f]
+            except KeyError:
+                step = rw[g * n + f] = self._right_weighted(g, f)
+            if not step:
+                break
+            hs[i + 1], g = step
+            if not g:
+                del hs[i]
+                break
+            hs[i] = g
+        return hs
 
     def _absorb(self, d, fs):
         """Δ^d·fs, fs left-weighted: its Δ factors, all in front, join d untwisted."""
@@ -254,14 +275,15 @@ class GarsideTable:
 
     def _pn_pos(self, a):
         """pos of `raw_pn` as right-weighted factors: g1⋯g_(l−k) of the right
-        normal form g1⋯gl·Δ^−k of a = Δ^−k·f1⋯fl, which the mirror sweep makes
-        of the τ^k(f_i) (Dehornoy et al., ch. III). A positive a is its pos."""
+        normal form g1⋯gl·Δ^−k of a = Δ^−k·f1⋯fl, which pushing the τ^k(f_i)
+        makes (Dehornoy et al., ch. III). A positive a is its pos."""
         d, fs = a
         if d >= 0:
             return a
-        gs = self._sweep([], [self.tau[f] for f in reversed(fs)] if d % 2
-                         else fs[::-1], mirror=True)
-        return 0, gs[:-d - 1:-1]  # gs holds gl, …, g1
+        hs = []
+        for f in fs:
+            self._push(hs, self.tau[f] if d % 2 else f)
+        return 0, hs[:max(0, len(hs) + d)]
 
     def raw_pn(self, a):
         """(neg, pos) with a = pos·neg⁻¹ and neg ∧_R pos = 1: neg = a⁻¹·pos."""
@@ -271,140 +293,87 @@ class GarsideTable:
     def coset_key(self, a, X, shift):
         """Canonical token of the left coset a·A_X as bytes, comparable for a
         fixed shift: a is any (Δ power, simples) with Δ^(2·shift)·a positive,
-        and X a frozenset of generators. a is normalized, then keyed by
-        `coset_keys` as the one child of its last factor; with no factors the
-        key is that of Δ^(d + 2·shift)·A_X."""
-        d, fs = self.normalize(*a)
+        and X a frozenset of generators. It is keyed by `coset_keys` as the one
+        child of its last factor; with no factors the key is that of
+        Δ^(d + 2·shift)·A_X."""
+        d, fs = a
         if fs:
             return self.coset_keys(d, fs[:-1], fs[-1:], X, shift)[0]
         return self._coset_plan(X, d + 2 * shift)[2]
 
     def coset_keys(self, delta, prefix, kids, X, shift):
-        """`coset_key((delta, prefix + (w,)), X, shift)` for each w in kids,
-        each prefix + (w,) normal: the children of one chamber.
+        """`coset_key((delta, prefix + (w,)), X, shift)` for each w in kids:
+        the children of one chamber.
 
-        The token is the normal form of the unique minimal positive
+        The token is the right normal form of the unique minimal positive
         representative of the shifted coset (Godelle, J. Algebra 2007), packed
         as 16-bit words: table indices are below `MAX_TABLE` < 2^16. With
         d = delta + 2·shift and Δ^e·m the representative of Δ^d·A_X (see
         `_coset_plan`), Δ^d·x·A_X = Δ^e·τ^(d+e)(x)·m·A_X. So τ^(d+e)(prefix)
-        is twisted and folded once; a child's β (see `_strip`) is that fold
-        carried through τ^(d+e)(w), then through m by one row per (X, d). A
-        child with nothing to strip and (τ^(d+e)(w), m1) left-weighted is
-        normal: its key is a concatenation. Any other is stripped from its β
-        and finished by `_finish`.
+        is pushed once, and τ^(d+e)(w) onto a copy per child. Where that
+        copy's last factor and m1 are right-weighted, the copy and m make a
+        right normal form ending X-reduced, so the key is their
+        concatenation; any other child has m pushed and is stripped.
         """
         d = delta + 2 * shift
-        e, m, key, row = self._coset_plan(X, d)  # row: β -> (fold through m, its cut)
+        e, m, key, rep = self._coset_plan(X, d)
         tau = self.tau if (d + e) % 2 else None
-        seq = [tau[f] for f in prefix] if tau else list(prefix)
-        head, top = array("H", [e, *seq]).tobytes(), self._fold(0, seq)
-        n, rw, index_bytes, m_bytes = self.n, self._right_weight, self._index_bytes, key[2:]
-        ldesc, rdesc, lead = self.ldesc, self.rdesc, m[0] if m else 0
+        hs = []
+        for f in prefix:
+            self._push(hs, tau[f] if tau else f)
+        rdesc, lead, m_bytes = self.rdesc, ~self.ldesc[m[0]] if m else 0, key[2:]
         out = []
         for w in kids:
-            g = tau[w] if tau else w
-            step = rw.get(g * n + top)
-            if step is None:
-                step = rw[g * n + top] = self._right_weighted(g, top)
-            beta = step[0] if step else g
-            bc = row.get(beta)
-            if bc is None:
-                b = self._fold(beta, m)
-                bc = row[beta] = b, self.meet_r(b, self.w0_parabolic(X))
-            if not bc[1] and not ldesc[lead] & ~rdesc[g]:
-                out.append(head + index_bytes[2 * g:2 * g + 2] + m_bytes)
-            else:
-                k, fs = self._finish(e, self._strip([*seq, g, *m], X, bc[0]))
-                out.append(array("H", (k, *fs)).tobytes())
+            gs = self._push(hs.copy(), tau[w] if tau else w)
+            if lead and gs and not rdesc[gs[-1]] & lead:
+                out.append(array("H", (e, *gs)).tobytes() + m_bytes)
+                continue
+            for f in m:
+                self._push(gs, f)
+            k, gs = self._strip(gs, rep)
+            out.append(array("H", (e + k, *gs)).tobytes())
         return out
 
     def _coset_plan(self, X, d):
-        """(e, m, packed Δ^e·m, {}): the normal form Δ^e·m of the minimal
-        positive representative of Δ^d·A_X, cached per (X, d) with the β row
-        that `coset_keys` fills.
+        """(e, m, packed Δ^e·m, rep): the right normal form Δ^e·m of the
+        minimal positive representative of Δ^d·A_X, cached per (X, d) with
+        rep = `coset_minima`(X), which `_strip` reads.
 
-        With ρ = `lcomp`[Δ_X], Δ = ρ·Δ_X, so Δ·A_X = ρ·A_X, and Δ^k·y =
-        τ^k(y)·Δ^k gives Δ^d·A_X = τ^(d−1)(ρ)⋯τ(ρ)·ρ·A_X, which `_strip`
-        reduces. For X = ∅, ρ = Δ: e = d and m = (). For X ≠ ∅, e = 0: were
-        the representative x = Δ·y, then x·A_X = τ(y)·Δ·A_X = τ(y)·ρ·A_X,
-        and τ(y)·ρ is positive and shorter than x by ℓ(Δ_X) > 0.
+        It is d factors Δ, stripped. For X = ∅ nothing strips: e = d and
+        m = (). For X ≠ ∅, e = 0: were
+        the representative x = Δ·y, then with ρ = `lcomp`[Δ_X], Δ = ρ·Δ_X
+        gives x·A_X = τ(y)·Δ·A_X = τ(y)·ρ·A_X, and τ(y)·ρ is positive and
+        shorter than x by ℓ(Δ_X) > 0.
         """
         if d < 0:
             raise NotPositive("shift too small for coset key")
         plan = self._coset_plans.get((X, d))
         if plan is None:
-            rho, tau = self.lcomp[self.w0_parabolic(X)], self.tau
-            e, m = self._finish(0, self._strip(
-                [tau[rho] if k % 2 else rho for k in range(d - 1, -1, -1)], X))
+            rep = self._minima.get(X)
+            if rep is None:
+                rep = self._minima[X] = self.coset_minima(X)
+            e, m = self._strip([self.w0i] * d, rep)
             if X and e:
                 raise InvariantViolated("minimal coset representative holds Δ")
-            plan = self._coset_plans[(X, d)] = e, m, array("H", (e, *m)).tobytes(), {}
+            m = tuple(m)
+            plan = self._coset_plans[(X, d)] = e, m, array("H", (e, *m)).tobytes(), rep
         return plan
 
-    def _finish(self, e, seq):
-        """Normal form of Δ^e·seq: seq itself when every pair is left-weighted
-        and no factor is 1 (ch. 9 of Epstein et al.), swept otherwise."""
-        ldesc, rdesc = self.ldesc, self.rdesc
-        f = self.w0i  # every simple may follow Δ
-        for g in seq:
-            if not g or ldesc[g] & ~rdesc[f]:
-                return self.normalize(e, seq)
-            f = g
-        return self._absorb(e, seq)
-
-    def _fold(self, beta, fs):
-        """The maximal simple right-divisor of β·fs, β simple, folded left to
-        right through the right factors in `_right_weight` (a factor 1 leaves it)."""
-        n, rw = self.n, self._right_weight
-        for f in fs:
-            k = f * n + beta
-            try:
-                step = rw[k]
-            except KeyError:
-                step = rw[k] = self._right_weighted(f, beta)
-            beta = step[0] if step else f
-        return beta
-
-    def _strip(self, seq, X, beta=None):
-        """Minimal positive representative of seq·A_X, as a list of simples.
-
-        Repeatedly strips the largest right-divisor lying in the positive
-        monoid of A_X: the largest right-divisor in W_X of the maximal simple
-        right-divisor β of the product, folded over the factors unless given.
-        Every step reads the flat tables (`_right_weight`, `_divide`, and the
-        `_cut` row of X), whose entries are computed on first lookup. `seq` is
+    def _strip(self, hs, rep):
+        """(k, τ^k(gs)) for the minimal positive representative gs·Δ^k of
+        hs·A_X, hs a right normal form and rep = `coset_minima`(X); gs has no
+        Δ factor. The last factor h of hs is its maximal simple right-divisor,
+        so h ∧_R Δ_X is its largest right-divisor in A_X⁺, and while that is
+        not 1, h is popped and h·(h ∧_R Δ_X)⁻¹ = rep[h] pushed. `hs` is
         consumed.
         """
-        cut = self._cut.get(X)
-        if cut is None:
-            cut = self._cut[X] = [-1] * self.n
-        n, divide = self.n, self._divide
-        while True:
-            if beta is None:
-                beta = self._fold(0, seq)
-            c = cut[beta]
-            if c < 0:
-                c = cut[beta] = self.meet_r(beta, self.w0_parabolic(X))
-            if c == 0:
-                return seq
-            beta = None
-            # divide the sequence by c on the right: walk right-to-left,
-            # transporting the pending divisor through each factor via the
-            # right-divisibility join (g·c⁻¹ = (j·g⁻¹)⁻¹·(j·c⁻¹), j = c ∨ g)
-            i = len(seq)
-            while c and i:
-                i -= 1
-                k = c * n + seq[i]
-                try:
-                    step = divide[k]
-                except KeyError:
-                    step = divide[k] = self._division_step(c, seq[i])
-                seq[i], c = step
-            if c:
-                raise InvariantViolated("divisor did not divide out")
-            if 0 in seq:
-                seq = [f for f in seq if f != 0]
+        while hs and rep[hs[-1]] != hs[-1]:
+            self._push(hs, rep[hs.pop()])
+        k = 0
+        while hs and hs[-1] == self.w0i:  # h·Δ^k = Δ^k·τ^k(h)
+            hs.pop()
+            k += 1
+        return k, [self.tau[h] for h in hs] if k % 2 else hs
 
     # -- entries of the flat tables --------------------------------------
 
@@ -429,11 +398,6 @@ class GarsideTable:
         if self.rdesc[a] & ~self.ldesc[b] or ln[a] + ln[b] != ln[u] + ln[v]:
             raise InvariantViolated("right-weighting gave a non-normal pair")
         return b, a
-
-    def _division_step(self, c, g):
-        inv = self.inv
-        j = self.rcomp[self.meet_l(self.lcomp[c], self.lcomp[g])]
-        return self.product(j, inv[c]), self.product(j, inv[g])
 
 
 def _meet(u, v, desc, strip, grow):

@@ -273,22 +273,19 @@ def _link_component(source, removed, anchor):
     return source.induced(source._reach(anchor, removed))
 
 
-def _cycle_links(source, cycle, branches, folding):
-    """Per-vertex link components of a cycle, admitted branch-wise.
-
-    `cycle` lives in the folding target when `folding` is given, else in
-    `source` itself. Returns (entries, assumptions, failure_reason).
-    """
+def _cycle_verdict(theorem, d, folding, cycle):
+    """(verdict, None) when every vertex link of the induced cycle of the
+    folding target is admitted, else (None, failure text). A SingleCycle
+    reads d through its identity folding and may admit assumptions; a
+    FoldedCycle records its folding and fibres and admits none."""
+    folded = theorem == FOLDED_CYCLE
+    branches = _FOLDED_BRANCHES if folded else _CYCLE_BRANCHES
     entries = []
     assumptions = []
     for s in cycle:
-        fiber = folding.fiber(s) if folding is not None else (s,)
-        rest = [t for t in cycle if t != s]
-        if folding is not None:
-            anchors = [v for t in rest for v in folding.fiber(t)]
-        else:
-            anchors = rest
-        comp = _link_component(source, fiber, anchors[0])
+        fiber = folding.fiber(s)
+        anchors = [v for t in cycle if t != s for v in folding.fiber(t)]
+        comp = _link_component(d, fiber, anchors[0])
         # consecutive cycle fibers are fully adjacent, so one component
         # carries all remaining fiber vertices
         if not all(comp.has_vertex(v) for v in anchors):
@@ -298,7 +295,7 @@ def _cycle_links(source, cycle, branches, folding):
         hit, cls = _admit(comp, branches, folding)
         if hit is None:
             why = _refusal(comp, cls, branches)
-            return None, None, f"cycle [{', '.join(cycle)}], vertex {s}: {why}"
+            return None, f"cycle [{', '.join(cycle)}], vertex {s}: {why}"
         tag, name, extra = hit
         entry = {
             "vertex": s,
@@ -306,24 +303,20 @@ def _cycle_links(source, cycle, branches, folding):
             "branch": tag,
             "type": name,
         }
-        if folding is not None:
+        if folded:
             entry["fiber"] = list(fiber)
         entries.append(entry)
         assumptions.extend(extra)
-    return entries, tuple(dict.fromkeys(assumptions)), None
+    if folded and assumptions:
+        raise InvariantViolated("folded branches admit no assumptions")
+    certificate = {"cycle": list(cycle), "links": entries}
+    if folded:
+        certificate = {"folding": _folding_json(folding), **certificate}
+    return GateVerdict(theorem, True, certificate,
+                       tuple(dict.fromkeys(assumptions))), None
 
 
 _CYCLE_BRANCHES = ("spherical", "locally_reducible", "affine_chain", "affine")
-
-
-def _single_cycle(d, cycle):
-    """(verdict, None) when the links of the induced cycle are all
-    admitted, else (None, failure text)."""
-    entries, assumptions, fail = _cycle_links(d, cycle, _CYCLE_BRANCHES, None)
-    if fail is not None:
-        return None, fail
-    certificate = {"cycle": list(cycle), "links": entries}
-    return GateVerdict(SINGLE_CYCLE, True, certificate, assumptions), None
 
 
 def gate_cycle(d):
@@ -336,10 +329,11 @@ def gate_cycle(d):
     cycles = induced_cycles(d)
     if not cycles:
         return GateVerdict(SINGLE_CYCLE, False, failure_reason="NoInducedCycle")
+    identity = dynkin.identity_folding(d)
     first_fail = None
     conditional = None
     for cycle in cycles:
-        verdict, fail = _single_cycle(d, cycle)
+        verdict, fail = _cycle_verdict(SINGLE_CYCLE, d, identity, cycle)
         if verdict is None:
             first_fail = first_fail or fail
         elif not verdict.conditional_assumptions:
@@ -387,22 +381,6 @@ def _folding_json(f):
     }
 
 
-def _folded_cycle(d, folding, cycle):
-    """(verdict, None) when the links of the induced cycle of the folding
-    target are all admitted, else (None, failure text)."""
-    entries, assumptions, fail = _cycle_links(d, cycle, _FOLDED_BRANCHES, folding)
-    if fail is not None:
-        return None, fail
-    if assumptions:
-        raise InvariantViolated("folded branches admit no assumptions")
-    certificate = {
-        "folding": _folding_json(folding),
-        "cycle": list(cycle),
-        "links": entries,
-    }
-    return GateVerdict(FOLDED_CYCLE, True, certificate), None
-
-
 def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
     """Bounded search over vertex-identifying quotients and induced cycles
     of their targets; every admitted branch is unconditional.
@@ -425,7 +403,7 @@ def gate_folded(d, *, max_candidates=DEFAULT_FOLDING_BUDGET):
         target = f.target
         for cycle in induced_cycles(target):
             saw_cycle = True
-            verdict, fail = _folded_cycle(d, f, cycle)
+            verdict, fail = _cycle_verdict(FOLDED_CYCLE, d, f, cycle)
             if verdict is not None:
                 return verdict
             first_fail = first_fail or fail
@@ -585,11 +563,12 @@ def revalidate(d, verdict):
         return False
     cycle = tuple(cert["cycle"])
     if verdict.theorem == SINGLE_CYCLE:
-        return _is_induced_cycle(d, cycle) and _single_cycle(d, cycle)[0] == verdict
-    fibers = [tuple(g) for g in cert["folding"]["fibers"]]
-    try:
-        f = dynkin.quotient_folding(d, fibers)
-    except (InvalidFolding, SubgraphNotInDiagram, ValueError):
-        return False
+        f = dynkin.identity_folding(d)
+    else:
+        fibers = [tuple(g) for g in cert["folding"]["fibers"]]
+        try:
+            f = dynkin.quotient_folding(d, fibers)
+        except (InvalidFolding, SubgraphNotInDiagram, ValueError):
+            return False
     return (_is_induced_cycle(f.target, cycle)
-            and _folded_cycle(d, f, cycle)[0] == verdict)
+            and _cycle_verdict(verdict.theorem, d, f, cycle)[0] == verdict)

@@ -767,9 +767,15 @@ def strip_reference(t, d, seq, X):
     folded over the factors otherwise. The divisor is carried right to left
     through the factors by the right-divisibility join; what reaches a
     leading Δ leaves Δ·c⁻¹ in its place. Every step reads the table's meets
-    and products, through its right-weighting and division steps, never its
-    lazily filled flat tables.
+    and products, through its right-weighting step and the division step
+    below, never its lazily filled flat tables.
     """
+    def divide(c, g):
+        """(j·c⁻¹, j·g⁻¹) for j = c ∨_R g, so g·c⁻¹ = (j·g⁻¹)⁻¹·(j·c⁻¹): the
+        factor left in g's place and the divisor carried on to its left."""
+        j = t.rcomp[t.meet_l(t.lcomp[c], t.lcomp[g])]
+        return t.product(j, t.inv[c]), t.product(j, t.inv[g])
+
     seq, w0x = list(seq), t.w0_parabolic(X)
     while True:
         if d:
@@ -784,7 +790,7 @@ def strip_reference(t, d, seq, X):
         i = len(seq)
         while c and i:
             i -= 1
-            seq[i], c = t._division_step(c, seq[i])
+            seq[i], c = divide(c, seq[i])
         if c:
             assert d, "divisor did not divide out"
             d -= 1
@@ -792,10 +798,17 @@ def strip_reference(t, d, seq, X):
         seq = [f for f in seq if f != 0]
 
 
-def pack_key(raw):
-    """A coset key (Δ power ≥ 0, factors) packed as `GarsideTable.coset_key`
-    returns it: 16-bit words, injective as table indices are below 2^16."""
-    return array("H", (raw[0], *raw[1])).tobytes()
+def unpack_key(t, key):
+    """A coset key of table t as (Δ power, factors), read back from the
+    16-bit words that `GarsideTable.coset_key` packs. Asserts that it is a
+    right normal form, no factor 1 or Δ and each pair (u, v) right-weighted,
+    R(u) ⊆ L(v), so that one element has one key."""
+    words = array("H")
+    words.frombytes(key)
+    d, fs = words[0], tuple(words[1:])
+    assert 0 not in fs and t.w0i not in fs, fs
+    assert all(not t.rdesc[u] & ~t.ldesc[v] for u, v in zip(fs, fs[1:])), fs
+    return d, fs
 
 
 # -- colored graph isomorphism -------------------------------------------------

@@ -394,6 +394,63 @@ def test_criterion_07_vertex_link_matches_rank2_subball(ball_a3):
     assert all(c1[u] == c2[w] for u, w in mapping.items())
 
 
+def _parabolic_ball_link(d, s, eff):
+    """The coset complex of A_{S∖s} over its maximal parabolics, as (vertex
+    types, edges): a vertex of type t is a coset h·A_{S∖{s,t}}, and the
+    chambers h, the elements of A_{S∖s} of size at most eff both in A_{S∖s}
+    and in A_S, join their vertices pairwise. Enumerated inside the
+    parabolic alone, from its own Δ powers and simples."""
+    sub = d.induced([v for v in d.vertices if v != s])
+    simples = [garside.from_letters(sub, [(u, 1) for u in w.word])
+               for w in cx.enumerate_group(sub, 10_000) if w.length]
+    elements = {}
+    for k in range(-eff, eff + 1):
+        frontier = [garside.delta(sub, k)]
+        elements.setdefault(garside.serialize(frontier[0]), frontier[0])
+        for _ in range(eff - abs(k)):
+            frontier = [garside.multiply(g, x) for g in frontier for x in simples]
+            for g in frontier:
+                elements.setdefault(garside.serialize(g), g)
+    reps, types, edges = [], [], set()
+
+    def vertex(h, t):
+        rest = [u for u in sub.vertices if u != t]
+        for i, (rt, rh) in enumerate(reps):
+            if rt == t and garside.in_parabolic(
+                    garside.multiply(garside.inverse(rh), h), rest):
+                return i
+        reps.append((t, h))
+        types.append(t)
+        return len(reps) - 1
+
+    for h in elements.values():
+        if h.size <= eff and garside.embed(h, d).size <= eff:
+            row = [vertex(h, t) for t in sub.vertices]
+            edges.update(combinations(sorted(row), 2))
+    return types, sorted(edges)
+
+
+# the base vertex of every type; B3's type b has the reducible link A1×A1
+LINK_CASES = [(text, bound, s) for text, bound in ((A3_TEXT, 5), (B3_TEXT, 4))
+              for s in "abc"]
+
+
+@pytest.mark.parametrize("text,bound,s", LINK_CASES,
+                         ids=[f"{n}-{s}" for n in ("A3", "B3") for s in "abc"])
+def test_vertex_link_is_the_parabolic_ball_at_every_vertex_type(text, bound, s):
+    d = diagram(text)
+    ball = complexes.build_ball(d, list(d.vertices), bound)
+    base = next(v for v in ball.vertices if v.type == s and v.witness.is_identity())
+    lk = complexes.vertex_link(ball, base.id)
+    types, edges = _parabolic_ball_link(d, s, ball.effective_bound)
+    v1 = [v.id for v in lk.vertices]
+    c1 = {v.id: v.type for v in lk.vertices}
+    assert len(v1) == len(types) and len(lk.edges) == len(edges)
+    mapping = typed_isomorphism(v1, list(lk.edges), c1,
+                                list(range(len(types))), edges, dict(enumerate(types)))
+    assert mapping is not None
+
+
 CONJUGATOR_CATALOG = [
     ("A1", "vertices a\n", lambda: model_A(1, "a")),
     ("A2", A2_TEXT, lambda: model_A(2, "ab")),

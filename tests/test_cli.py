@@ -305,7 +305,8 @@ def test_gate_rejects_plus_in_a_vertex_name_exit2(dyn):
 
 
 # malformed diagrams that once reached the user as a traceback (exit 1, the
-# code of UNRESOLVED), or were read and then failed inside a command
+# code of UNRESOLVED), were read and then failed inside a command, or were
+# read as another diagram
 MALFORMED = {
     "edges not a list": ('{"vertices": ["a", "b"], "edges": 5}', ["gate", "{}"],
                          "'edges' must be a list"),
@@ -321,6 +322,9 @@ MALFORMED = {
     "text name with a caret": ("vertices a^-1 a\n", ["word", "{}", "a^-1"],
                                "vertex name 'a^-1' contains '^',"
                                " which marks an inverse letter"),
+    "JSON key misspelt": ('{"vertices": ["a", "b"], "edge": [["a", "b", 3]]}',
+                          ["classify", "{}"], "unknown key 'edge': a JSON diagram"
+                                              " has only 'vertices' and 'edges'"),
 }
 
 

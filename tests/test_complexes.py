@@ -410,14 +410,21 @@ def _sibling_groups(t, eff, X):
 
 @pytest.mark.parametrize("name", list(KEYER_CASES))
 def test_coset_keys_agree_with_coset_key_on_every_keyed_child(name):
+    # and each key, read back and left-normalized, with the minimal
+    # representative that the referee finds by division
     d, parabolics, eff = KEYER_CASES[name]
     t = ga.table(d)
+    ref = oracles.FixpointGarside(t)
     shift = (eff + 1) // 2
     children, powers = 0, set()
     for X in parabolics:
         for delta, seq, kids in _sibling_groups(t, eff, X):
             want = [t.coset_key((delta, seq + (w,)), X, shift) for w in kids]
             assert t.coset_keys(delta, seq, kids, X, shift) == want, (delta, seq, X)
+            for w, key in zip(kids, want):
+                raw = (delta, seq + (w,))
+                assert ref.normalize(*oracles.unpack_key(t, key)) == ref.coset_key(
+                    raw, X, shift), (raw, X)
             children += len(kids)
             powers.add(delta % 2)
     assert (children == 0) == (name == "A1")  # rank 1 has no proper simples
@@ -426,43 +433,39 @@ def test_coset_keys_agree_with_coset_key_on_every_keyed_child(name):
         assert t.tau != list(range(t.n)) and powers == {0, 1}
 
 
-def _batch(t, delta, seq, X, shift, monkeypatch):
-    """The children of (delta, seq), their keys by coset_keys, and the
-    coset_key and normalize calls that made."""
-    kids = t.follows[seq[-1]] if seq else list(t.proper)
-    keyed, normalize, made = ga.GarsideTable.coset_key, ga.GarsideTable.normalize, Counter()
+def test_coset_keys_concatenate_where_the_pushed_child_stands_against_m(monkeypatch):
+    # Δ^d·A_X = Δ^e·m·A_X with m X-reduced: a child whose pushed form ends
+    # right-weighted against m1 is keyed by concatenation, any other has m
+    # pushed and is stripped once
+    diagram, parabolics, eff = KEYER_CASES["A3"]
+    t = ga.GarsideTable(diagram)
+    shift = (eff + 1) // 2
+    strip, stripped = ga.GarsideTable._strip, []
 
-    def counted(name, f):
-        def call(self, *args):
-            made[name] += 1
-            return f(self, *args)
-        return call
+    def counted(self, hs, rep):
+        stripped.append(hs)
+        return strip(self, hs, rep)
 
-    with monkeypatch.context() as m:
-        m.setattr(ga.GarsideTable, "coset_key", counted("coset_key", keyed))
-        m.setattr(ga.GarsideTable, "normalize", counted("normalize", normalize))
-        got = t.coset_keys(delta, seq, kids, X, shift)
-    return kids, got, made
-
-
-def test_coset_keys_falls_back_without_a_left_weighted_delta_coset(monkeypatch):
-    t = ga.GarsideTable(B3)  # fresh, so its (∅, 3) plan is made under the counter
-    b = t.gen["b"]
-    seq = (t.rmul[b][t.rank["c"]],)  # bc
-    # Δ^d·A_∅ = Δ^d: e = d = 3 and m = (), so each child is keyed as it
-    # stands, Δ^3·bc·w, by concatenation
-    kids, got, made = _batch(t, 1, seq, frozenset(), 1, monkeypatch)
-    assert got == [oracles.pack_key((3, seq + (w,))) for w in kids]
-    assert not made
-    # a left-weighted m over X = ∅ strips nothing: a child keys by
-    # concatenation when (w, m1) is left-weighted and is swept otherwise
-    plan = (0, (b,), oracles.pack_key((0, (b,))), {})
-    monkeypatch.setattr(t, "_coset_plans", {(frozenset(), 2): plan})
-    kids, got, made = _batch(t, 0, seq, frozenset(), 1, monkeypatch)
-    swept = sum(1 for w in kids if t.ldesc[b] & ~t.rdesc[w])
-    assert got == [oracles.pack_key(t.normalize(0, seq + (w, b))) for w in kids]
-    assert made["coset_key"] == 0
-    assert made["normalize"] == swept and 0 < swept < len(kids)
+    monkeypatch.setattr(ga.GarsideTable, "_strip", counted)
+    joined = 0
+    for X in parabolics:
+        for delta, seq, kids in _sibling_groups(t, eff, X):
+            d = delta + 2 * shift
+            e, m, _, _ = t._coset_plan(X, d)
+            twist = t.tau if (d + e) % 2 else range(t.n)
+            stripped.clear()
+            got = t.coset_keys(delta, seq, kids, X, shift)
+            concatenated = 0
+            for w, key in zip(kids, got):
+                hs = []
+                for f in seq + (w,):
+                    t._push(hs, twist[f])
+                if m and not t.rdesc[hs[-1]] & ~t.ldesc[m[0]]:
+                    assert oracles.unpack_key(t, key) == (e, tuple(hs) + m)
+                    concatenated += 1
+            assert len(stripped) == len(kids) - concatenated, (delta, seq, X)
+            joined += concatenated
+    assert 0 < joined < 7100  # the A3 case keys 7,100 children
 
 
 def _claim_every_pair(ball):

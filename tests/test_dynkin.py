@@ -155,6 +155,9 @@ READER_RULES = {
                              ParseError, "'vertices' must be a list of strings"),
     "no vertices key": (None, {"edges": []},
                         ParseError, "JSON diagram needs a 'vertices' key"),
+    "unknown key": (None, {"vertices": ["a", "b"], "edge": [["a", "b", 3]]},
+                    ParseError, "unknown key 'edge': a JSON diagram has only"
+                                " 'vertices' and 'edges'"),
     "name 'a b'": (None, {"vertices": ["a b", "c"]},
                    ParseError, NAME + "'a b' is not one token"),
     "empty name": (None, {"vertices": [""]}, ParseError, NAME + "'' is not one token"),

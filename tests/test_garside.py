@@ -333,7 +333,7 @@ def test_sweep_against_fixpoint_reference(d, items, make, checked):
             assert (raw(f.neg), raw(f.pos)) == want, side
         X = rng.choice(subsets)
         shift = max(0, -rx[0] + 1) // 2 + rng.randint(0, 1)
-        assert t.coset_key(rx, X, shift) == oracles.pack_key(ref.coset_key(rx, X, shift))
+        assert _agrees_with_the_referee(t, t.coset_key(rx, X, shift), rx, X, shift)
         # unnormalized input: Δ and identity factors anywhere in the middle
         k = rng.randint(-3, 3)
         fs = [rng.choice((0, t.w0i, rng.randrange(t.n), rng.randrange(t.n)))
@@ -703,21 +703,22 @@ def test_rank4_against_garside_oracle(d, make):
                 assert not (left_divides(ox, ls) and left_divides(oy, ls))
 
 
-# coset keys: a left-weighted stripped sequence is returned as it stands ------
+# coset keys: the right normal form of the minimal representative ---------
 
 
-def _swept_coset_key(t, a, X, shift):
-    """`coset_key` with every sequence stripped by the referee and swept into
-    normal form."""
-    d, fs = a
-    d += 2 * shift
-    e, m = oracles.strip_reference(t, d, [], X)
-    seq = [t.tau[f] for f in fs] if (d + e) % 2 else list(fs)
-    return oracles.pack_key(t.normalize(*oracles.strip_reference(t, e, seq + m, X)))
+def _agrees_with_the_referee(t, key, a, X, shift):
+    """The key, read back and left-normalized by `FixpointGarside`, against the
+    left normal form of the minimal representative that `strip_reference`
+    finds by division."""
+    ref = oracles.FixpointGarside(t)
+    return ref.normalize(*oracles.unpack_key(t, key)) == ref.coset_key(a, X, shift)
 
 
-@pytest.mark.parametrize("d", [A3, B3, H3, D4, F4],
-                         ids=["A3", "B3", "H3", "D4", "F4"])
+A2A1 = dy.diagram("abc", [("a", "b", 3)])
+
+
+@pytest.mark.parametrize("d", [A1, A2A1, A3, B3, H3, D4, F4],
+                         ids=["A1", "A2xA1", "A3", "B3", "H3", "D4", "F4"])
 def test_coset_key_agrees_with_sweeping_the_stripped_sequence(d):
     t = ga.table(d)
     gens = d.vertices
@@ -731,7 +732,7 @@ def test_coset_key_agrees_with_sweeping_the_stripped_sequence(d):
         least = max(0, (1 - g.delta_power) // 2)  # Δ^(2·shift)·g positive
         for shift in (least, least + 1):
             X = rng.choice(subsets)
-            assert t.coset_key(g.raw, X, shift) == _swept_coset_key(t, g.raw, X, shift)
+            assert _agrees_with_the_referee(t, t.coset_key(g.raw, X, shift), g.raw, X, shift)
 
 
 def test_coset_key_callers_agree_with_the_sweep(monkeypatch):
@@ -740,7 +741,7 @@ def test_coset_key_callers_agree_with_the_sweep(monkeypatch):
 
     def checked(self, a, X, shift):
         key = keyed(self, a, X, shift)
-        assert key == _swept_coset_key(self, a, X, shift), (a, X, shift)
+        assert _agrees_with_the_referee(self, key, a, X, shift), (a, X, shift)
         negative.append(a[0] < 0)
         return key
 
@@ -759,21 +760,18 @@ def test_coset_key_callers_agree_with_the_sweep(monkeypatch):
                          ids=["A1", "A3", "B3", "D4", "F4", "H3"])
 def test_coset_plan_is_the_delta_free_minimal_representative(d):
     # Δ^k·A_X = Δ^e·m·A_X: e = k and m = () off the trivial parabolic,
-    # otherwise e = 0 and m a normal form with no Δ and no identity
+    # otherwise e = 0 and m a right normal form with no Δ and no identity
     t = ga.table(d)
-    ref = oracles.FixpointGarside(t)
     gens = d.vertices
     for X in (frozenset(c) for r in range(len(gens) + 1)
               for c in itertools.combinations(gens, r)):
         for k in range(9):
-            e, m, key, _ = t._coset_plan(X, k)
-            if X:
-                assert e == 0 and t.w0i not in m and 0 not in m, (X, k)
-                assert all(t.is_normal(f, g) for f, g in zip(m, m[1:])), (X, k)
-            else:
-                assert (e, m) == (k, ())
-            assert key == t.coset_key((k, ()), X, 0) == oracles.pack_key(
-                ref.coset_key((k, ()), X, 0)), (X, k)
+            e, m, key, rep = t._coset_plan(X, k)
+            assert (e, m) == ((0, m) if X else (k, ())), (X, k)
+            assert oracles.unpack_key(t, key) == (e, m), (X, k)
+            assert rep == t.coset_minima(X)
+            assert key == t.coset_key((k, ()), X, 0)
+            assert _agrees_with_the_referee(t, key, (k, ()), X, 0), (X, k)
 
 
 @pytest.mark.parametrize("d", [A3, B3, H3, D4], ids=["A3", "B3", "H3", "D4"])
@@ -790,27 +788,20 @@ def test_coset_minima_are_the_gates_of_the_numbers_game(d):
             assert t.words[rep[x]] == gate.word, (X, word)
 
 
-def test_coset_key_sweeps_a_sequence_that_is_not_left_weighted(monkeypatch):
-    t = ga.table(B3)
-    a, b, w0 = t.gen["a"], t.gen["b"], t.w0i
-    normalize = ga.GarsideTable.normalize
-    swept = []
-
-    def counted(self, d, fs):
-        swept.append(list(fs))
-        return normalize(self, d, fs)
-
-    monkeypatch.setattr(ga.GarsideTable, "normalize", counted)
-    # nothing strips off the trivial parabolic, so each key is a normal form:
-    # a·b is one simple, the identity drops out, and Δ moves to the front
-    for raw in [(0, (a, b)), (0, (a, 0, b)), (1, (b, w0))]:
-        assert t.coset_key(raw, frozenset(), 0) == oracles.pack_key(normalize(t, *raw))
-    assert swept == [[a, b], [a, 0, b], [b, w0]]
-    swept.clear()
-    # a normal input is swept once, on the way in, and its key is its bytes
+def test_coset_key_pushes_a_sequence_that_is_not_normal(monkeypatch):
+    t = ga.table(A3)
+    a, b, c, w0 = t.gen["a"], t.gen["b"], t.gen["c"], t.w0i
     ab = t.rmul[a][t.rank["b"]]
-    assert t.coset_key((2, (ab, b)), frozenset(), 0) == oracles.pack_key((2, (ab, b)))
-    assert swept == [[ab, b]]
+    swept = []
+    monkeypatch.setattr(ga.GarsideTable, "normalize", lambda self, d, fs: swept.append(fs))
+    # nothing strips off the trivial parabolic, so each key is the right
+    # normal form of its input, pushed without a sweep: a·b is one simple,
+    # the identity drops out, and a Δ at the right end joins the power and
+    # twists what stands left of it (τ swaps a and c)
+    for raw, want in [((0, (a, b)), (0, (ab,))), ((0, (a, 0, b)), (0, (ab,))),
+                      ((1, (a, w0)), (2, (c,))), ((0, (w0, a, 0)), (1, (a,)))]:
+        assert oracles.unpack_key(t, t.coset_key(raw, frozenset(), 0)) == want, raw
+    assert swept == []
 
 
 def _table_against_model(t, model):
@@ -862,17 +853,11 @@ def test_word_and_fuzz_reach_h4_and_e6(name, tmp_path, capsys):
 # must end in InvariantViolated, with the given message, even with
 # assertions stripped by `python -O`.
 CORRUPTIONS = {
-    # Δ_X claimed trivial for every X, so ρ = Δ: the representative of
-    # Δ²·A_{a,b} comes out as Δ² itself
+    # every element claimed minimal in its coset, so nothing strips: the
+    # representative of Δ²·A_{a,b} comes out as Δ² itself
     "minimal coset representative holds Δ": """
-t.w0_parabolic = lambda X: 0
+ga.GarsideTable.coset_minima = lambda t, X: list(range(t.n))
 t.coset_key((0, ()), frozenset("ab"), 1)
-""",
-    "divisor did not divide out": """
-# every division step claims the divisor passes through untouched
-t._divide.update({c * t.n + g: (g, c)
-                  for c in range(t.n) for g in range(t.n)})
-t.coset_key((0, (t.gen["a"],)), frozenset("ab"), 0)
 """,
     # the complement of a in Δ claims to be the identity, so left-weighting
     # the non-normal pair (a, b) moves nothing and hands it back unchanged
@@ -968,9 +953,10 @@ from artinkit import theorem_gate as tg
 tg._link_component = lambda source, removed, anchor: source.induced([anchor])
 tg.gate_cycle(dynkin.cycle_diagram(list("xyz"), [3, 3, 3]))
 """,
+    # every link admitted as spherical under an assumption
     "folded branches admit no assumptions": """
 from artinkit import theorem_gate as tg
-tg._cycle_links = lambda source, cycle, branches, folding: ([], ("h",), None)
+tg._admit = lambda comp, branches, folding=None: (("spherical", "A(1)", ("h",)), None)
 tg.gate_folded(dynkin.cycle_diagram(list("xyz"), [3, 3, 3]))
 """,
 }
