@@ -253,16 +253,10 @@ def _check_orientation(ball, orientation):
     if any(s not in ball.types for s in orientation):
         raise NotAdmissible("orientation must use the ball's vertex types")
     d = ball.type_diagram
-    for i, s in enumerate(orientation):
-        for j in range(i + 1, len(orientation)):
-            t = orientation[j]
-            m = d.label(s, t)
-            if j == i + 1 and m == 2:
-                raise NotAdmissible(
-                    f"consecutive types {s},{t} are not adjacent")
-            if j > i + 1 and m != 2:
-                raise NotAdmissible(
-                    f"types {s},{t} break the induced linear shape")
+    if d.induced(orientation).path_order() not in (list(orientation),
+                                                   list(reversed(orientation))):
+        raise NotAdmissible(
+            f"types {','.join(orientation)} do not walk an induced path")
     if not dynkin.is_admissible(d, set(orientation)):
         raise NotAdmissible("type path is not an admissible subgraph")
     return orientation

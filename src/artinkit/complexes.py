@@ -110,11 +110,9 @@ class ComplexBall:
         self.margin = margin
         self.chamber_count = chamber_count
         self.vertices = tuple(vertices)
-        if not isinstance(edges, array):  # pairs in any order, as loaded
-            edges = array("q", sorted({min(i, j) << 32 | max(i, j) for i, j in edges}))
-        self.edges = EdgeList(edges)
+        self.edges = EdgeList(edges)  # sorted i << 32 | j, i < j, as `_assemble` makes
         self.inner = frozenset(inner)
-        self._edge_witness = edge_witness  # see `_assemble`; None if loaded
+        self._edge_witness = edge_witness  # see `_assemble`
         self._keys = keys  # type -> {packed coset key: vertex id}
         self._shift = shift
         # CSR: v's neighbours are _nbrs[_offsets[v]:_offsets[v + 1]], in order,
@@ -146,9 +144,6 @@ class ComplexBall:
     def edge_witness(self, i, j):
         """The first enumerated chamber on both vertices of the edge."""
         e = (min(i, j), max(i, j))
-        if not self._edge_witness:
-            raise PreconditionFailed(
-                f"edge {e}: a ball loaded from JSON carries no edge witnesses")
         # follow the parent links up from the edge's chamber
         ordinals, parent, last = self._edge_witness
         packed, edges = e[0] << 32 | e[1], self.edges.packed
@@ -168,18 +163,9 @@ class ComplexBall:
             raise PreconditionFailed(f"unknown vertex type {type_name!r}")
         if g.group is not self.ambient and g.group != self.ambient:
             raise GroupMismatch("element and ball of different groups")
-        t = ga.table(self.ambient)
-        if not self._keys:
-            # balls rebuilt from JSON carry no keys: derive them once
-            self._keys = {s: {} for s in self.type_parabolic}
-            for v in self.vertices:
-                key = t.coset_key(v.witness.raw,
-                                  self.type_parabolic[v.type], self._shift)
-                self._keys[v.type][key] = v.id
-        raw = g.raw
-        if raw[0] + 2 * self._shift < 0:
+        if g.raw[0] + 2 * self._shift < 0:
             return None
-        key = t.coset_key(raw, self.type_parabolic[type_name], self._shift)
+        key = ga.table(self.ambient).coset_key(g.raw, self.type_parabolic[type_name], self._shift)
         return self._keys[type_name].get(key)
 
     # -- exports ----------------------------------------------------------
@@ -237,23 +223,41 @@ class ComplexBall:
         return "\n".join(lines) + "\n"
 
 
-def ball_from_json(d, blob, type_parabolic=None):
-    """Rebuild a ball exported by to_json (plain balls: type s ~ S minus s)."""
-    data = json.loads(blob) if isinstance(blob, str) else blob
-    vertices = [BallVertex(id=item["id"], type=item["type"],
-                           witness=ga.parse_element(d, item["witness"]))
-                for item in data["vertices"]]
-    types = list(dict.fromkeys(v.type for v in vertices))
-    if type_parabolic is None:
-        allv = set(d.vertices)
-        type_parabolic = {s: frozenset(allv - {s}) for s in types}
-    eff = max((v.witness.size for v in vertices), default=0)
-    return ComplexBall(
-        ambient=d, types=types, type_parabolic=type_parabolic, bound=data["bound"],
-        effective_bound=eff, margin=MARGIN, chamber_count=None,
-        vertices=vertices, edges=data["edges"], inner=frozenset(data["inner"]),
-        edge_witness=None, keys={}, shift=(eff + 1) // 2,
-    )
+def ball_from_json(d, blob):
+    """The ball of d that a `to_json` export (or its text) names, built again
+    and returned if its export equals the blob, else PreconditionFailed.
+
+    A "+"-joined type is a fiber of `dynkin.quotient_folding`, as vertex
+    names hold no "+". Ids run by (type, witness size, text), so the last
+    row of each type holds its largest witness; the largest of those is
+    the effective bound, and its chamber count caps the build.
+    """
+    try:
+        data = json.loads(blob) if isinstance(blob, str) else blob
+        rows = data["vertices"]
+        if [row["id"] for row in rows] != list(range(len(rows))):
+            raise PreconditionFailed("vertex rows must hold ids 0, 1, 2, ... in order")
+        last = {row["type"]: row["witness"] for row in rows}  # types in order
+        folding = dynkin.quotient_folding(d, [tuple(s.split("+")) for s in last if "+" in s])
+        unknown = [s for s in last if not folding.target.has_vertex(s)]
+        if unknown:
+            raise PreconditionFailed(f"type {unknown[0]!r} is neither a vertex "
+                                     "nor a '+'-joined fiber of the diagram")
+        eff = max(ga.parse_element(d, w).size for w in last.values())
+        ball = build_folded_ball(folding, last, data["bound"], max_chambers=_chamber_count(
+            _sequence_counts(ga.table(d), eff), eff))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise PreconditionFailed(f"not a ball export: {e!r}") from e
+    want = ball.to_json()
+    for key in ("vertices", "edges", "inner", "bound", *data):  # the first difference
+        a, b = data.get(key), want.get(key)
+        if a != b and isinstance(a, list) and isinstance(b, list):
+            k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            key, a, b = f"{key}[{k}]", *(xs[k] if k < len(xs) else None for xs in (a, b))
+        if a != b:
+            raise PreconditionFailed(f"not the export of its ball: {key} is {a!r} "
+                                     f"where the rebuilt ball has {b!r}")
+    return ball
 
 
 # -- chamber enumeration ------------------------------------------------------
@@ -279,12 +283,15 @@ def _sequence_counts(t, upto):
     return counts
 
 
+def _chamber_count(counts, radius):
+    """Chambers of canonical size at most radius, from `_sequence_counts`: a
+    sequence of length k stands behind Δ^j for each |j| <= radius - k."""
+    return sum(c * (2 * (radius - k) + 1) for k, c in enumerate(counts[:radius + 1]))
+
+
 def effective_bound(t, bound, max_chambers):
     counts = _sequence_counts(t, bound)
-    # layer r: the sequences of length r, and those of length r - j behind
-    # Δ^j and Δ^-j for each 1 <= j <= r
-    cum = list(accumulate(
-        c + 2 * below for c, below in zip(counts, accumulate([0] + counts))))
+    cum = [_chamber_count(counts, r) for r in range(len(counts))]
     eff = sum(1 for c in cum if c <= max_chambers) - 1
     least = min(bound, 2)
     if eff < least:
@@ -341,9 +348,8 @@ def _assemble(d, types, type_parabolic, bound, max_chambers, type_diagram):
     per chamber, the Δ power for a chamber with no factors)."""
     t = ga.table(d)
     eff = effective_bound(t, bound, max_chambers)
-    # a sequence of length k stands behind Δ^j for |j| <= eff - k, and a
-    # chamber meets at most one new vertex per type
-    chambers = sum(c * (2 * (eff - k) + 1) for k, c in enumerate(_sequence_counts(t, eff)))
+    # a chamber meets at most one new vertex per type
+    chambers = _chamber_count(_sequence_counts(t, eff), eff)
     for count in (chambers, chambers * len(types)):
         if count > ID_LIMIT:
             raise CapExceeded(ID_LIMIT, count)

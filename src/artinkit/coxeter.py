@@ -389,6 +389,8 @@ def coset_elements(g, T, side="right"):
     T; those of g*W_T are g applied to the orbit of f0. Each peels to its
     ShortLex word, and the orbit's start is g itself.
     """
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
     eng = engine(g.group)
     ranks = eng._indices(T)
     g = CoxeterElement(g.group, eng.canonical(g.word))  # g may hold any word

@@ -37,6 +37,8 @@ A2_TEXT = "vertices a b\nedge a b 3\n"
 I24_TEXT = "vertices a b\nedge a b 4\n"
 A3_TEXT = "vertices a b c\nedge a b 3\nedge b c 3\n"
 B3_TEXT = "vertices a b c\nedge a b 4\nedge b c 3\n"
+H3_TEXT = "vertices a b c\nedge a b 5\nedge b c 3\n"
+D4_TEXT = "vertices a b c d\nedge a b 3\nedge b c 3\nedge b d 3\n"
 
 CORPUS_FILES = [
     "a1.dyn", "a3.dyn", "affa2.dyn", "affa3.dyn", "affa4.dyn", "afff4.dyn",
@@ -430,13 +432,16 @@ def _parabolic_ball_link(d, s, eff):
     return types, sorted(edges)
 
 
-# the base vertex of every type; B3's type b has the reducible link A1×A1
-LINK_CASES = [(text, bound, s) for text, bound in ((A3_TEXT, 5), (B3_TEXT, 4))
-              for s in "abc"]
+# the base vertex of every type, at the default max_chambers; B3's type b
+# has the reducible link A1×A1, and D4's type b the link A1×A1×A1
+LINK_DIAGRAMS = {"A3": (A3_TEXT, 5), "B3": (B3_TEXT, 4), "H3": (H3_TEXT, 4),
+                 "D4": (D4_TEXT, 3)}
+LINK_CASES = {f"{name}-{s}": (text, bound, s)
+              for name, (text, bound) in LINK_DIAGRAMS.items()
+              for s in diagram(text).vertices}
 
 
-@pytest.mark.parametrize("text,bound,s", LINK_CASES,
-                         ids=[f"{n}-{s}" for n in ("A3", "B3") for s in "abc"])
+@pytest.mark.parametrize("text,bound,s", LINK_CASES.values(), ids=LINK_CASES)
 def test_vertex_link_is_the_parabolic_ball_at_every_vertex_type(text, bound, s):
     d = diagram(text)
     ball = complexes.build_ball(d, list(d.vertices), bound)
@@ -459,7 +464,7 @@ CONJUGATOR_CATALOG = [
     ("B3", B3_TEXT, lambda: model_B(3, "abc")),
     ("I25", "vertices a b\nedge a b 5\n", lambda: model_I2(5, "ab")),
     ("I26", "vertices a b\nedge a b 6\n", lambda: model_I2(6, "ab")),
-    ("H3", "vertices a b c\nedge a b 5\nedge b c 3\n", lambda: model_H3("abc")),
+    ("H3", H3_TEXT, lambda: model_H3("abc")),
     ("A1xA1", "vertices a b\n",
      lambda: model_product(model_A(1, "a"), model_A(1, "b"))),
     ("A1xA2", "vertices a b c\nedge b c 3\n",

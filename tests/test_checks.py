@@ -1,5 +1,6 @@
 import hashlib
 import json
+from array import array
 
 import pytest
 
@@ -308,8 +309,8 @@ def _remade(b, extra=(), margin=None):
         bound=b.bound, effective_bound=b.effective_bound,
         margin=b.margin if margin is None else margin,
         chamber_count=b.chamber_count, vertices=b.vertices,
-        edges=sorted(set(b.edges) | set(extra)), inner=inner, edge_witness={},
-        keys={}, shift=None)
+        edges=array("q", sorted({i << 32 | j for i, j in (*b.edges, *extra)})),
+        inner=inner, edge_witness={}, keys={}, shift=None)
 
 
 def _with_rival_fillers(b):

@@ -12,6 +12,7 @@ from artinkit import coxeter as cx
 from artinkit import dynkin
 from artinkit import garside as ga
 from artinkit.errors import (
+    ArtinKitError,
     BoundTooLarge,
     CapExceeded,
     GroupMismatch,
@@ -574,29 +575,16 @@ STORAGE_CASES = {
 def test_compact_storage_matches_tuple_adjacency(name):
     ball = STORAGE_CASES[name]()
     _assert_storage_matches(ball, list(ball.edges), 20)
-    # the same edges loaded from JSON unsorted, reversed and duplicated
-    data = ball.to_json()
-    rng = random.Random(21)
-    pairs = [[j, i] if rng.random() < 0.5 else [i, j] for i, j in data["edges"]]
-    pairs += rng.sample(pairs, len(pairs) // 3)
-    rng.shuffle(pairs)
-    back = cpx.ball_from_json(ball.ambient, {**data, "edges": pairs},
-                              type_parabolic=ball.type_parabolic)
-    _assert_storage_matches(back, pairs, 22)
-    assert back.to_json_str() == ball.to_json_str()
-    if ball.edges:
-        with pytest.raises(PreconditionFailed, match="carries no edge witnesses"):
-            back.edge_witness(*ball.edges[0])
-    # a ball made by hand from a list of pairs, with edges added in any order
-    extra = [(len(ball.vertices) - 1, 0), (1, len(ball.vertices) - 2), (0, 1)]
+    # a ball made by hand, with more edges
+    pairs = [*ball.edges, (0, len(ball.vertices) - 1), (1, len(ball.vertices) - 2), (0, 1)]
     made = cpx.ComplexBall(
         ambient=ball.ambient, types=ball.types,
         type_parabolic=ball.type_parabolic, bound=ball.bound,
         effective_bound=ball.effective_bound, margin=ball.margin,
         chamber_count=ball.chamber_count, vertices=ball.vertices,
-        edges=extra + list(reversed(ball.edges)), inner=ball.inner,
+        edges=array("q", sorted({i << 32 | j for i, j in pairs})), inner=ball.inner,
         edge_witness={}, keys={}, shift=None)
-    _assert_storage_matches(made, extra + list(ball.edges), 23)
+    _assert_storage_matches(made, pairs, 23)
 
 
 def test_edge_witness_refuses_pairs_outside_the_edge_array():
@@ -1006,16 +994,69 @@ def test_locate_after_json_roundtrip():
         assert back.locate(v.witness, v.type) == v.id
 
 
-def test_loaded_ball_names_its_missing_edge_witness():
-    # the export carries no witnesses, so a loaded ball cannot answer
-    b = cpx.build_ball(A2, ["a", "b"], 3)
-    back = cpx.ball_from_json(A2, b.to_json_str())
-    i, j = b.edges[0]
-    assert ga.serialize(b.edge_witness(i, j)) == "Δ^0 ·"
-    with pytest.raises(PreconditionFailed,
-                       match=rf"edge \({i}, {j}\): a ball loaded from JSON "
-                             "carries no edge witnesses"):
-        back.edge_witness(j, i)
+def _keyer_ball(name, bound=None):
+    """The ball of a KEYER_CASES entry at its radius (or a smaller bound):
+    one type per parabolic S minus a fiber, folded where a fiber has two
+    vertices."""
+    d, parabolics, eff = KEYER_CASES[name]
+    fibers = [tuple(s for s in d.vertices if s not in X) for X in parabolics]
+    folding = dynkin.quotient_folding(d, [f for f in fibers if len(f) > 1])
+    chambers = cpx._chamber_count(cpx._sequence_counts(ga.table(d), eff), eff)
+    return cpx.build_folded_ball(folding, ["+".join(f) for f in fibers],
+                                 eff if bound is None else bound,
+                                 max_chambers=chambers)
+
+
+LOADED_CASES = {**{name: (name, None) for name in KEYER_CASES},
+                "A3 a+c at bound 3": ("A3 a+c", 3)}
+
+
+@pytest.mark.parametrize("name,bound", LOADED_CASES.values(), ids=LOADED_CASES)
+def test_a_loaded_ball_is_the_built_ball(name, bound):
+    b = _keyer_ball(name, bound)
+    assert b.effective_bound == (KEYER_CASES[name][2] if bound is None else bound)
+    back = cpx.ball_from_json(b.ambient, b.to_json_str())
+    assert back.to_json_str() == b.to_json_str()
+    assert (back.effective_bound, back.chamber_count) == (b.effective_bound, b.chamber_count)
+    for v in b.vertices:
+        assert back.locate(v.witness, v.type) == v.id
+    for i, j in b.edges:
+        assert back.edge_witness(j, i) == b.edge_witness(i, j)
+
+
+# ways to spoil the export of the A3 ball at bound 3, and what the refusal says
+NOT_EXPORTS = {
+    "edge to an unknown id": (lambda b: b["edges"].append([0, len(b["vertices"])]),
+                              r"edges\[\d+\] is \[0, \d+\] where the rebuilt ball has None"),
+    "reversed vertex list": (lambda b: b["vertices"].reverse(),
+                             "vertex rows must hold ids 0, 1, 2"),
+    "self-loop": (lambda b: b["edges"].insert(0, [0, 0]), r"edges\[0\] is \[0, 0\]"),
+    "shuffled edges": (lambda b: random.Random(27).shuffle(b["edges"]), r"edges\[\d+\] is"),
+    "unknown type": (lambda b: b["vertices"][-1].update(type="z"),
+                     "type 'z' is neither a vertex nor a '\\+'-joined fiber"),
+    "vertex inside a fiber": (lambda b: b["vertices"][0].update(type="a+c"),
+                              "type 'a' is neither a vertex"),
+    "overlapping fibers": (lambda b: [v.update(type=("a+b", "b+c")[v["id"] % 2])
+                                      for v in b["vertices"]],
+                           "vertex 'b' in two groups"),
+    "bad witness": (lambda b: b["vertices"][-1].update(witness="Δ^0 · x"),
+                    "unknown generator 'x'"),
+    "inner vertex dropped": (lambda b: b["inner"].pop(),
+                             r"inner\[\d+\] is None where the rebuilt ball has \d+"),
+    "extra key": (lambda b: b.update(chambers=1),
+                  "chambers is 1 where the rebuilt ball has None"),
+    "no vertices": (lambda b: b.update(vertices=[]), "not a ball export"),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_EXPORTS))
+def test_ball_from_json_refuses_what_is_not_an_export(name):
+    spoil, message = NOT_EXPORTS[name]
+    blob = cpx.build_ball(A3, ["a", "b", "c"], 3).to_json()
+    spoil(blob)
+    for form in (blob, json.dumps(blob)):
+        with pytest.raises(ArtinKitError, match=message):
+            cpx.ball_from_json(A3, form)
 
 
 def test_edge_witness_names_a_pair_that_is_no_edge():

@@ -290,6 +290,14 @@ def test_coset_elements_needs_a_finite_parabolic():
         cx.coset_elements(nf(A3, "b"), {"a", "z"})
 
 
+@pytest.mark.parametrize("side", ["lft", None, "Right"])
+def test_coset_elements_and_gate_projection_refuse_an_unknown_side(side):
+    g = nf(A3, "b")
+    for op in (cx.coset_elements, cx.gate_projection):
+        with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+            op(g, {"a", "b"}, side)
+
+
 def test_pair_gate_identical_cosets():
     g = nf(A3, "c")
     X, Y, pairs = cx.pair_gate(A3, {"a"}, g, {"a"}, g)
