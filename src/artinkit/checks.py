@@ -265,7 +265,8 @@ def _check_orientation(ball, orientation):
 def linear_order(ball, orientation, sample_cap=4000):
     """Order x < y iff x, y adjacent and the type of x precedes the type
     of y in the orientation. Restricted to inner vertices; the axioms are
-    verified there (transitivity consistency and sampled gradedness)."""
+    verified there: transitivity (x < y < z needs the edge x–z) and sampled
+    gradedness. A missing edge or midpoint leaves the order UNRESOLVED."""
     orientation = _check_orientation(ball, orientation)
     rank = {s: i for i, s in enumerate(orientation)}
     inner = sorted(v for v in ball.inner
@@ -276,7 +277,7 @@ def linear_order(ball, orientation, sample_cap=4000):
         ri = rank[ball.vertex(i).type]
         pairs.update((i, j) for j in ball.neighbors(i) if j in innerset
                      and rank[ball.vertex(j).type] > ri)
-    problems = []
+    problems, unresolved = [], []
     up = {}
     down = {}
     for x, y in pairs:
@@ -286,12 +287,11 @@ def linear_order(ball, orientation, sample_cap=4000):
     for x, y in pairs:
         if (y, x) in pairs:
             problems.append(("antisymmetry", x, y))
-    # transitivity consistency: x<y<z with x,z adjacent must be recorded
-    for y in inner:
+    for y in inner:  # x < y < z: x < z, an edge the ball may not reach
         for x in down.get(y, ()):
             for z in up.get(y, ()):
-                if ball.has_edge(x, z) and (x, z) not in pairs:
-                    problems.append(("transitivity", x, y, z))
+                if not ball.has_edge(x, z):
+                    unresolved.append(("transitivity", x, y, z))
     # gradedness on rank gaps of 2: a midpoint exists below the margin
     gap_pairs = [(x, y) for (x, y) in sorted(pairs)
                  if rank[ball.vertex(y).type] - rank[ball.vertex(x).type] == 2]
@@ -305,13 +305,14 @@ def linear_order(ball, orientation, sample_cap=4000):
                 if ball.vertex(z).type in rank
                 and rank[ball.vertex(z).type] == mid_rank]
         if not mids:
-            problems.append(("gradedness", x, y))
+            unresolved.append(("gradedness", x, y))
     # a sampled gradedness check proves nothing about the unsampled pairs
     verdict = _verdict("order", ball,
                        {"orientation": "<".join(orientation),
                         "ordered_pairs": len(pairs),
                         "graded_samples": len(gap_pairs)},
-                       problems=sorted(problems), truncated=truncated)
+                       problems=sorted(problems), unresolved=sorted(unresolved),
+                       truncated=truncated)
     return LinearOrderResult(
         orientation=orientation, pairs=frozenset(pairs), verdict=verdict)
 

@@ -60,13 +60,14 @@ def _dump_json(obj):
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)
 
 
-def _build(d, args, types=None):
-    return complexes.build_ball(
-        d,
-        types if types is not None else list(d.vertices),
-        args.bound,
-        max_chambers=args.max_chambers,
-    )
+def _types(args, d):
+    """The --types given, all of d's vertices by default."""
+    return args.types.split(",") if args.types else list(d.vertices)
+
+
+def _build(d, args):
+    return complexes.build_ball(d, _types(args, d), args.bound,
+                                max_chambers=args.max_chambers)
 
 
 def cmd_classify(args):
@@ -112,8 +113,7 @@ def cmd_word(args):
 
 def cmd_ball(args):
     d = _load(args.diagram)
-    types = args.types.split(",") if args.types else None
-    ball = _build(d, args, types)
+    ball = _build(d, args)
     if args.format == "json":
         print(ball.to_json_str())
     elif args.format == "dot":
@@ -130,11 +130,8 @@ def cmd_ball(args):
 
 
 def _girth(args, d):
-    if args.types:
-        types = args.types.split(",")
-    elif d.rank == 2:
-        types = list(d.vertices)
-    else:
+    types = _types(args, d)
+    if len(set(types)) != 2:
         print("error: girth needs --types with exactly two types", file=sys.stderr)
         return EXIT_PARSE
     ball = _build(d, args)
@@ -155,22 +152,15 @@ def _girth(args, d):
     return EXIT_OK if inner is not None else EXIT_UNRESOLVED
 
 
-def _orientation(d):
-    order = d.path_order()
-    if order is None:
-        print("error: this check needs a simple-path diagram", file=sys.stderr)
-        return None
-    return order
-
-
 def cmd_check(args):
     d = _load(args.diagram)
     if args.check == "girth":
         return _girth(args, d)
     orientation = None
     if args.check in ("bowtie", "order"):
-        orientation = _orientation(d)
+        orientation = d.induced(_types(args, d)).path_order()
         if orientation is None:
+            print("error: this check needs a simple-path diagram", file=sys.stderr)
             return EXIT_PARSE
     ball = _build(d, args)
     if args.check == "4wheel":
@@ -288,7 +278,8 @@ def _parser():
 
     p = sub.add_parser("ball", help="build a coset ball")
     p.add_argument("diagram")
-    p.add_argument("--types", default=None, help="comma-separated vertex types")
+    p.add_argument("--types", default=None,
+                   help="comma-separated vertex types of the ball (default: all)")
     _ball_flags(p)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=cmd_ball)
@@ -297,7 +288,8 @@ def _parser():
     p.add_argument("check", choices=("girth", "4wheel", "bowtie", "order"))
     p.add_argument("diagram")
     p.add_argument("--types", default=None,
-                   help="two comma-separated types (girth only)")
+                   help="comma-separated vertex types of the ball the check reads"
+                   " (default: all; girth needs exactly two)")
     _ball_flags(p, with_cycles=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_check)

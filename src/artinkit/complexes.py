@@ -50,6 +50,7 @@ from .errors import (
     InvariantViolated,
     NotSpherical,
     PreconditionFailed,
+    SubgraphNotInDiagram,
     VertexNotInner,
 )
 
@@ -319,13 +320,19 @@ def build_ball(d, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBERS):
 
 
 def build_folded_ball(folding, types, bound, *, max_chambers=DEFAULT_MAX_CHAMBERS):
-    """Ball of the folded complex: type s' covers cosets of A_{S∖fiber(s')}."""
+    """Ball of the folded complex: type s' covers cosets of A_{S∖fiber(s')}.
+    Each type must be a vertex of the target, and the bound at least 1."""
+    if bound < 1:
+        raise PreconditionFailed(f"bound {bound} is below 1")
     report = dynkin.validate_folding(folding)
     if not report:
         raise InvalidFolding("; ".join(report.problems))
     src = folding.source
     if not dynkin.is_spherical(src):
         raise NotSpherical("a ball needs a spherical diagram")
+    for s in types:
+        if not folding.target.has_vertex(s):
+            raise SubgraphNotInDiagram(f"type {s!r} is not a vertex of the diagram")
     types = [s for s in folding.target.vertices if s in set(types)]
     if not types:
         raise ValueError("need at least one vertex type")

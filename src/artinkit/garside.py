@@ -11,10 +11,11 @@ support, τ and the complements in Δ.
 Normal forms come out of `_sweep`, which appends simples by right-to-left
 sweeps of left-weightings (the domino rule), one sweep per word. Its mirror
 `_push` appends to a right normal form, off which pn-forms are read as
-np-forms are read off the left one. An inverse is the reversed complements
-∂f = f⁻¹·Δ, already normal (Epstein et al., Word Processing in Groups,
-ch. 9). Gcd and lcm are fractions (Dehornoy et al., Foundations of Garside
-Theory, ch. II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ coprime, x ∧ y = x·a⁻¹ and
+np-forms are read off the left one; its right-weighting is the left one
+read through w ↦ w⁻¹. An inverse is the reversed complements ∂f = f⁻¹·Δ,
+already normal (Epstein et al., Word Processing in Groups, ch. 9). Gcd and
+lcm are fractions (Dehornoy et al., Foundations of Garside Theory, ch.
+II–III): with x⁻¹·y = a⁻¹·b = u·v⁻¹ coprime, x ∧ y = x·a⁻¹ and
 x ∨ y = x·u, and the right-hand pair reads x·y⁻¹ alike.
 
 A coset key is the packed right normal form of the minimal positive
@@ -139,16 +140,17 @@ class GarsideTable:
         return u
 
     def meet_l(self, u, v):
-        """Longest common left-divisor (weak-order meet); w0 is the top."""
+        """Longest common left-divisor (weak-order meet); w0 is the top. A
+        common left descent s lies below it, and meet(u, v) = s·meet(s·u, s·v)."""
         if u == v or v == self.w0i:
             return u
-        return v if u == self.w0i else _meet(u, v, self.ldesc, self.lmul, self.rmul)
-
-    def meet_r(self, u, v):
-        """Longest common right-divisor."""
-        if u == v or v == self.w0i:
-            return u
-        return v if u == self.w0i else _meet(u, v, self.rdesc, self.rmul, self.lmul)
+        if u == self.w0i:
+            return v
+        ldesc, lmul, rmul, out = self.ldesc, self.lmul, self.rmul, 0
+        while both := ldesc[u] & ldesc[v]:
+            i = (both & -both).bit_length() - 1
+            u, v, out = lmul[u][i], lmul[v][i], rmul[out][i]
+        return out
 
     def is_normal(self, s, t):
         return self.ldesc[t] & ~self.rdesc[s] == 0
@@ -388,32 +390,19 @@ class GarsideTable:
         return a, b
 
     def _right_weighted(self, v, u):
-        """Mirror step on u·v, read as (v, u): unless R(u) ⊆ L(v), the largest
-        c ≼_R u with c·v simple, c = u ∧_R `lcomp`[v], moves across."""
-        if not self.rdesc[u] & ~self.ldesc[v]:
+        """The step on u·v for `_push`, read as (v, u): () if it stands, else
+        (new right factor, new left factor). w ↦ w⁻¹ reverses products and
+        swaps left and right divisors: (u, v) is right-weighted iff R(u) ⊆ L(v),
+        iff L(u⁻¹) ⊆ R(v⁻¹), iff (v⁻¹, u⁻¹) is left-weighted, and a
+        left-weighting a·b of (u·v)⁻¹ gives u·v = b⁻¹·a⁻¹."""
+        inv, ln = self.inv, self.length
+        step = self._left_weighted(inv[v], inv[u])
+        if not step:
             return ()
-        c = self.meet_r(u, self.lcomp[v])
-        a, b = self.product(u, self.inv[c]), self.product(c, v)
-        ln = self.length
+        b, a = inv[step[0]], inv[step[1]]
         if self.rdesc[a] & ~self.ldesc[b] or ln[a] + ln[b] != ln[u] + ln[v]:
             raise InvariantViolated("right-weighting gave a non-normal pair")
         return b, a
-
-
-def _meet(u, v, desc, strip, grow):
-    """Meet of u and v by stripping common descents one generator at a time.
-
-    A common left descent s lies below the left meet, and then
-    meet(u, v) = s·meet(s·u, s·v); the right meet is the mirror image.
-    `strip` removes s from u and v, `grow` appends it to the meet.
-    """
-    out = 0
-    both = desc[u] & desc[v]
-    while both:
-        i = (both & -both).bit_length() - 1
-        u, v, out = strip[u][i], strip[v][i], grow[out][i]
-        both = desc[u] & desc[v]
-    return out
 
 
 @lru_cache(maxsize=cx.CACHED_DIAGRAMS)
@@ -724,7 +713,7 @@ def ribbon_decompose(g, X, depth=6):
         nxt = []
         for raw, Y, path in queue:
             if t.coset_key(raw, Y, shift) == t.coset_key((0, ()), Y, shift):
-                return _ribbon_reconstruct(t, g, X, raw, Y, path)
+                return _ribbon_reconstruct(g, X, path)
             for tg in d.vertices if level < depth else ():
                 if tg in Y or not is_spherical(d.induced(Y | {tg})):
                     continue
@@ -739,10 +728,9 @@ def ribbon_decompose(g, X, depth=6):
     return None
 
 
-def _ribbon_reconstruct(t, g, X, raw, Ytop, path):
-    d = g.group
+def _ribbon_reconstruct(g, X, path):
     chain = list(reversed(path))
-    prod = identity(d)
+    prod = identity(g.group)
     for (r, _, _) in chain:
         prod = multiply(prod, r)
     tail = multiply(inverse(prod), g)

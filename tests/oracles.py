@@ -763,12 +763,12 @@ def strip_reference(t, d, seq, X):
 
     Repeatedly strips the largest right-divisor lying in the positive monoid
     of A_X: the largest right-divisor in W_X of the maximal simple
-    right-divisor β of the product. β is Δ while d > 0 (Δ·x = τ(x)·Δ) and is
-    folded over the factors otherwise. The divisor is carried right to left
-    through the factors by the right-divisibility join; what reaches a
-    leading Δ leaves Δ·c⁻¹ in its place. Every step reads the table's meets
-    and products, through its right-weighting step and the division step
-    below, never its lazily filled flat tables.
+    right-divisor β of the product, folded over the factors from Δ while
+    d > 0 (Δ·x = τ(x)·Δ), else from 1: β·f ends in c·f, c the largest c ≼_R β
+    with c·f simple. The divisor is carried right to left through the
+    factors by the right-divisibility join; what reaches a leading Δ leaves
+    Δ·c⁻¹ in its place. No right-hand step of the table and none of its flat
+    tables is read: u ∧_R v = (u⁻¹ ∧_L v⁻¹)⁻¹ over its left meet and inverses.
     """
     def divide(c, g):
         """(j·c⁻¹, j·g⁻¹) for j = c ∨_R g, so g·c⁻¹ = (j·g⁻¹)⁻¹·(j·c⁻¹): the
@@ -776,15 +776,15 @@ def strip_reference(t, d, seq, X):
         j = t.rcomp[t.meet_l(t.lcomp[c], t.lcomp[g])]
         return t.product(j, t.inv[c]), t.product(j, t.inv[g])
 
+    def meet_r(u, v):
+        return t.inv[t.meet_l(t.inv[u], t.inv[v])]
+
     seq, w0x = list(seq), t.w0_parabolic(X)
     while True:
-        if d:
-            beta = t.w0i
-        else:  # the right factor of each right-weighting
-            beta = 0
-            for f in seq:
-                beta = (t._right_weighted(f, beta) or (f,))[0]
-        c = t.meet_r(beta, w0x)
+        beta = t.w0i if d else 0
+        for f in seq:
+            beta = t.product(meet_r(beta, t.lcomp[f]), f)
+        c = meet_r(beta, w0x)
         if c == 0:
             return d, seq
         i = len(seq)

@@ -299,9 +299,10 @@ def _folded_a3(bound):
     return cpx.build_folded_ball(q, ["a+c", "b"], bound)
 
 
-def _remade(b, extra=(), margin=None):
-    """b made by hand as a ComplexBall, with the `extra` edges and, given a
-    margin, that margin and its inner set: witness size <= eff - margin."""
+def _remade(b, extra=(), margin=None, drop=()):
+    """b made by hand as a ComplexBall, with the `extra` edges, without the
+    `drop` ones and, given a margin, that margin and its inner set: witness
+    size <= eff - margin."""
     inner = b.inner if margin is None else {
         v.id for v in b.vertices if v.witness.size <= b.effective_bound - margin}
     return cpx.ComplexBall(
@@ -309,8 +310,23 @@ def _remade(b, extra=(), margin=None):
         bound=b.bound, effective_bound=b.effective_bound,
         margin=b.margin if margin is None else margin,
         chamber_count=b.chamber_count, vertices=b.vertices,
-        edges=array("q", sorted({i << 32 | j for i, j in (*b.edges, *extra)})),
+        edges=array("q", sorted({i << 32 | j for i, j in (*b.edges, *extra)
+                                 if (i, j) not in drop})),
         inner=inner, edge_witness={}, keys={}, shift=None)
+
+
+def test_order_without_a_transitive_edge_is_unresolved():
+    """x < y < z needs the edge x - z. A ball without it does not verify the
+    order, nor refute it: the edge may lie beyond any finite ball."""
+    b = ball(A3, "abc", 4)
+    pairs = ck.linear_order(b, "abc").pairs
+    x, y, z = min((x, y, z) for x, y in pairs for y_, z in pairs
+                  if y == y_ and b.vertex(x).type == "a")
+    cut = _remade(b, drop={(min(x, z), max(x, z))})
+    assert not cut.has_edge(x, z) and cut.inner == b.inner
+    v = ck.linear_order(cut, "abc").verdict
+    assert v.status == ck.UNRESOLVED
+    assert ("transitivity", x, y, z) in v.witnesses
 
 
 def _with_rival_fillers(b):

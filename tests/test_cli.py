@@ -192,6 +192,63 @@ def test_girth_needs_types_on_rank3(dyn):
     assert r2.returncode in (0, 1)
 
 
+# --types names the vertex types of the ball that `ball` and every check
+# build; a type that is not a vertex, or a count girth cannot use, exits 2
+BAD_TYPES = {
+    "ball, unknown type": (("ball", "a3", "--types", "zz"), "'zz'"),
+    "ball, one unknown of two": (("ball", "a3", "--types", "a,zz"), "'zz'"),
+    "girth, one unknown of two": (("check", "girth", "a3", "--types", "a,zz"), "'zz'"),
+    "girth, three types": (("check", "girth", "a3", "--types", "a,b,c"),
+                           "exactly two types"),
+    "girth, one type twice": (("check", "girth", "a3", "--types", "a,a"),
+                              "exactly two types"),
+    "4wheel, unknown type": (("check", "4wheel", "a3", "--types", "a,zz"), "'zz'"),
+    "bowtie, unknown type": (("check", "bowtie", "a3", "--types", "a,zz"), "'zz'"),
+    # a and c are not joined, so the types walk no path
+    "order, no path": (("check", "order", "a3", "--types", "a,c"), "simple-path"),
+    "bowtie, a star": (("check", "bowtie", "d4", "--types", "a,b,c,d"), "simple-path"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TYPES))
+def test_bad_types_exit2_without_traceback(name):
+    argv, message = BAD_TYPES[name]
+    corpus = Path(__file__).parent / "corpus"
+    argv = [str(corpus / f"{a}.dyn") if a in ("a3", "d4") else a for a in argv]
+    r = run(*argv, "--bound", "2")
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_types_select_the_ball_of_every_check():
+    """Each check reads the ball of the --types given: bowtie and order
+    orient along the path they walk, and on D4 the path a - c - d gets the
+    verdicts of its own ball."""
+    d4 = str(Path(__file__).parent / "corpus" / "d4.dyn")
+    flags = ("--types", "a,c,d", "--bound", "3", "--max-chambers", "400000")
+    r = run("check", "bowtie", d4, *flags)
+    assert r.returncode == 0
+    assert r.stdout.startswith("bowtie: VERIFIED (bound=3 bowties=120 effective_bound=3"
+                               " margin=2 nontrivial=24 orientation=a<c<d unresolved=0)")
+    r = run("check", "4wheel", d4, *flags)
+    assert r.returncode == 0
+    assert r.stdout.startswith("4wheel: VERIFIED (bound=3 cycles=24 ")
+    r = run("check", "order", d4, *flags)
+    assert r.returncode == 0 and "orientation=a<c<d" in r.stdout
+    # without --types, D4 has no path to orient along
+    assert run("check", "order", d4, "--bound", "2").returncode == 2
+
+
+def test_girth_with_types_reads_the_two_type_ball():
+    a3 = str(Path(__file__).parent / "corpus" / "a3.dyn")
+    r = run("check", "girth", a3, "--types", "a,c", "--bound", "4", "--format", "json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {
+        "check": "girth", "types": ["a", "c"], "shortest_inner": 4, "upper_bound": 4,
+        "parameters": {"bound": 4, "effective_bound": 4}}
+
+
 def test_bowtie_small_bound_unresolved(dyn):
     p = dyn("A3.dyn", A3)
     r = run("check", "bowtie", p, "--bound", "2")

@@ -20,6 +20,7 @@ from artinkit.errors import (
     InvariantViolated,
     NotSpherical,
     PreconditionFailed,
+    SubgraphNotInDiagram,
     VertexNotInner,
 )
 
@@ -192,6 +193,21 @@ def test_ball_rejects_bad_inputs():
         cpx.build_ball(A3, ["a", "b", "c"], 4, max_chambers=10)
     with pytest.raises(ValueError):
         cpx.build_ball(A2, [], 3)
+
+
+def test_ball_refuses_unknown_types_and_bounds_below_1():
+    # each type is a vertex of the target diagram: once a and c are folded,
+    # "a" no longer is one
+    for d, types, bad in ((A3, ["a", "zz"], "zz"), (A3, ["zz"], "zz")):
+        with pytest.raises(SubgraphNotInDiagram, match=f"type '{bad}'"):
+            cpx.build_ball(d, types, 2)
+    q = dynkin.quotient_folding(A3, [("a", "c")])
+    with pytest.raises(SubgraphNotInDiagram, match="type 'a'"):
+        cpx.build_folded_ball(q, ["a", "b"], 2)
+    for bound in (0, -1):
+        with pytest.raises(PreconditionFailed, match=f"bound {bound} is below 1"):
+            cpx.build_ball(A3, "abc", bound)
+    assert cpx.build_ball(A3, "abc", 1).effective_bound == 1
 
 
 def test_merge_iff_coset_equality_exhaustive():
@@ -632,9 +648,8 @@ def test_ids_that_do_not_fit_32_bits_are_refused_before_enumeration(monkeypatch)
 
 def test_json_export_matches_json_dumps():
     d1 = dynkin.DynkinDiagram(("a",), ())
-    blank = cpx.ball_from_json(
-        A2, {"vertices": [{"id": 0, "type": "a", "witness": "Δ^0 ·"}],
-             "edges": [], "inner": [], "bound": 0})
+    # loaded, with no edge and no inner vertex: one type at bound 1
+    blank = cpx.ball_from_json(A2, cpx.build_ball(A2, ["a"], 1).to_json())
     balls = [cpx.build_ball(d, ["a", "b", "c"], 4) for d in (A3, B3, H3)]
     balls += [cpx.build_ball(d1, ["a"], 3), blank]
     for ball in balls:

@@ -622,21 +622,38 @@ def test_table_matches_word_multiplication():
             for i, s in enumerate(d.vertices):
                 assert t.words[t.rmul[u][i]] == canonical(wu + (s,))
                 assert t.words[t.lmul[u][i]] == canonical((s,) + wu)
-        # u ≤ w on the left iff ℓ(u) + ℓ(u⁻¹w) = ℓ(w), and dually
+        # u ≤ w on the left iff ℓ(u) + ℓ(u⁻¹w) = ℓ(w)
         ln = t.length
         ldivs = [{u for u in range(t.n)
                   if ln[u] + ln[t.product(t.inv[u], w)] == ln[w]}
                  for w in range(t.n)]
-        rdivs = [{u for u in range(t.n)
-                  if ln[t.product(w, t.inv[u])] + ln[u] == ln[w]}
-                 for w in range(t.n)]
         for u in range(t.n):
             for v in range(t.n):
-                for divs, meet in ((ldivs, t.meet_l), (rdivs, t.meet_r)):
-                    common = divs[u] & divs[v]
-                    best = max(common, key=ln.__getitem__)
-                    assert divs[best] == common
-                    assert meet(u, v) == best
+                common = ldivs[u] & ldivs[v]
+                best = max(common, key=ln.__getitem__)
+                assert ldivs[best] == common
+                assert t.meet_l(u, v) == best
+
+
+@pytest.mark.parametrize("d", [A3, B3, H3, dy.diagram("ab", [("a", "b", 5)])],
+                         ids=["A3", "B3", "H3", "I2(5)"])
+def test_right_weighting_against_brute_force(d):
+    """The right-weighting step, derived from the left one through w ↦ w⁻¹,
+    on every pair (u, v) of simples against the table's lengths and products
+    alone: u·v = (u·c⁻¹)·(c·v) for c the longest right divisor of u with
+    ℓ(c·v) = ℓ(c) + ℓ(v), and the pair stands when c = 1."""
+    t = ga.table(d)
+    ln, rng = t.length, range(t.n)
+    prod = [[t.product(x, y) for y in rng] for x in rng]
+    # c ≤ u on the right iff ℓ(u·c⁻¹) + ℓ(c) = ℓ(u)
+    rdivs = [{c for c in rng if ln[prod[u][t.inv[c]]] + ln[c] == ln[u]} for u in rng]
+    for u in rng:
+        for v in rng:
+            movable = {c for c in rdivs[u] if ln[prod[c][v]] == ln[c] + ln[v]}
+            c = max(movable, key=ln.__getitem__)
+            assert movable <= rdivs[c]  # so the longest is unique
+            want = (prod[c][v], prod[u][t.inv[c]]) if c else ()
+            assert t._right_weighted(v, u) == want, (u, v)
 
 
 def test_follows_and_sequence_counts():
@@ -865,11 +882,12 @@ t.coset_key((0, ()), frozenset("ab"), 1)
 t.rcomp[t.gen["a"]] = 0
 ga.from_letters(d, "ab")
 """,
-    # the complement of b in Δ from the left claims to be the identity, so
-    # right-weighting the pair (Δ·a⁻¹, b) of a⁻¹·b moves nothing
+    # the inverse of the identity claims to be a: the right-weighting of
+    # (a, b), read off the left-weighting (b, a) → (ba, 1) of its inverse,
+    # hands back a·ab where 1·ab belongs, though the left step is sound
     "right-weighting gave a non-normal pair": """
-t.lcomp[t.gen["b"]] = 0
-ga.left_lcm(ga.generator(d, "a"), ga.generator(d, "b"))
+t.inv[0] = t.gen["a"]
+t.coset_key((0, (t.gen["a"], t.gen["b"])), frozenset(), 0)
 """,
     "apartment section must be injective": """
 from artinkit import complexes
