@@ -140,12 +140,8 @@ class GarsideTable:
         return u
 
     def meet_l(self, u, v):
-        """Longest common left-divisor (weak-order meet); w0 is the top. A
-        common left descent s lies below it, and meet(u, v) = s·meet(s·u, s·v)."""
-        if u == v or v == self.w0i:
-            return u
-        if u == self.w0i:
-            return v
+        """Longest common left-divisor (weak-order meet): a common left
+        descent s lies below it, and meet(u, v) = s·meet(s·u, s·v)."""
         ldesc, lmul, rmul, out = self.ldesc, self.lmul, self.rmul, 0
         while both := ldesc[u] & ldesc[v]:
             i = (both & -both).bit_length() - 1
@@ -713,7 +709,7 @@ def ribbon_decompose(g, X, depth=6):
         nxt = []
         for raw, Y, path in queue:
             if t.coset_key(raw, Y, shift) == t.coset_key((0, ()), Y, shift):
-                return _ribbon_reconstruct(g, X, path)
+                return _ribbon_reconstruct(t, g, X, raw, Y, path)
             for tg in d.vertices if level < depth else ():
                 if tg in Y or not is_spherical(d.induced(Y | {tg})):
                     continue
@@ -728,9 +724,10 @@ def ribbon_decompose(g, X, depth=6):
     return None
 
 
-def _ribbon_reconstruct(g, X, path):
+def _ribbon_reconstruct(t, g, X, raw, Ytop, path):
+    d = g.group
     chain = list(reversed(path))
-    prod = identity(g.group)
+    prod = identity(d)
     for (r, _, _) in chain:
         prod = multiply(prod, r)
     tail = multiply(inverse(prod), g)
