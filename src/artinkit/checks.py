@@ -322,7 +322,8 @@ def linear_order(ball, orientation, sample_cap=4000):
 
 def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
     """Enumerate bowties {x1,x2} < {y1,y2} over inner vertices and search
-    for a middle z with x_i <= z <= y_j for all i, j."""
+    for a middle z with x_i <= z <= y_j for all i, j. The order's problems
+    are the verdict's; its unresolved instances come before the bowties'."""
     order = linear_order(ball, orientation)
     if order.verdict.status == COUNTEREXAMPLE:
         return _verdict("bowtie", ball, dict(order.verdict.parameters),
@@ -367,8 +368,8 @@ def check_bowtie_free(ball, orientation, max_bowties=DEFAULT_MAX_CYCLES):
                     {"orientation": "<".join(order.orientation),
                      "bowties": len(bowties), "nontrivial": nontrivial,
                      "unresolved": len(unresolved)},
-                    unresolved=unresolved, resolved=resolved,
-                    truncated=truncated)
+                    unresolved=[*order.verdict.witnesses, *unresolved],
+                    resolved=resolved, truncated=truncated)
 
 
 def wheel_fillers_from_bowties(ball, orientation, bowtie_verdict):

@@ -229,7 +229,7 @@ def ball_from_json(d, blob):
     and returned if its export equals the blob, else PreconditionFailed.
 
     A "+"-joined type is a fiber of `dynkin.quotient_folding`, as vertex
-    names hold no "+". Ids run by (type, witness size, text), so the last
+    names hold no "+"; the build refuses any other type. Ids run by (type, witness size, text), so the last
     row of each type holds its largest witness; the largest of those is
     the effective bound, and its chamber count caps the build.
     """
@@ -240,10 +240,6 @@ def ball_from_json(d, blob):
             raise PreconditionFailed("vertex rows must hold ids 0, 1, 2, ... in order")
         last = {row["type"]: row["witness"] for row in rows}  # types in order
         folding = dynkin.quotient_folding(d, [tuple(s.split("+")) for s in last if "+" in s])
-        unknown = [s for s in last if not folding.target.has_vertex(s)]
-        if unknown:
-            raise PreconditionFailed(f"type {unknown[0]!r} is neither a vertex "
-                                     "nor a '+'-joined fiber of the diagram")
         eff = max(ga.parse_element(d, w).size for w in last.values())
         ball = build_folded_ball(folding, last, data["bound"], max_chambers=_chamber_count(
             _sequence_counts(ga.table(d), eff), eff))

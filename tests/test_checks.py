@@ -315,18 +315,27 @@ def _remade(b, extra=(), margin=None, drop=()):
         inner=inner, edge_witness={}, keys={}, shift=None)
 
 
-def test_order_without_a_transitive_edge_is_unresolved():
-    """x < y < z needs the edge x - z. A ball without it does not verify the
-    order, nor refute it: the edge may lie beyond any finite ball."""
+@pytest.mark.parametrize("cut", ["transitive edge", "midpoint edges"])
+def test_order_and_bowtie_unresolved_without_order_edges(cut):
+    """x < y < z needs the edge x - z, and x < z a midpoint. A ball without
+    the edge, or without the edges from x to every midpoint, does not verify
+    the order, nor refute it: they may lie beyond any finite ball. Its bowtie
+    verdict stands on the order, so it is UNRESOLVED, the order's witnesses
+    first (a missing midpoint once gave COUNTEREXAMPLE)."""
     b = ball(A3, "abc", 4)
     pairs = ck.linear_order(b, "abc").pairs
     x, y, z = min((x, y, z) for x, y in pairs for y_, z in pairs
                   if y == y_ and b.vertex(x).type == "a")
-    cut = _remade(b, drop={(min(x, z), max(x, z))})
-    assert not cut.has_edge(x, z) and cut.inner == b.inner
-    v = ck.linear_order(cut, "abc").verdict
-    assert v.status == ck.UNRESOLVED
-    assert ("transitivity", x, y, z) in v.witnesses
+    ends = [z] if cut == "transitive edge" else [
+        m for m in set(b.neighbors(x)) & set(b.neighbors(z)) if b.vertex(m).type == "b"]
+    cut_ball = _remade(b, drop={(min(x, w), max(x, w)) for w in ends})
+    assert not any(cut_ball.has_edge(x, w) for w in ends) and cut_ball.inner == b.inner
+    order = ck.linear_order(cut_ball, "abc").verdict
+    bowtie = ck.check_bowtie_free(cut_ball, "abc")
+    assert order.status == bowtie.status == ck.UNRESOLVED
+    assert bowtie.witnesses[:len(order.witnesses)] == order.witnesses
+    assert (("transitivity", x, y, z) if cut == "transitive edge"
+            else ("gradedness", x, z)) in order.witnesses
 
 
 def _with_rival_fillers(b):

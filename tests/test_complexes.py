@@ -1048,9 +1048,9 @@ NOT_EXPORTS = {
     "self-loop": (lambda b: b["edges"].insert(0, [0, 0]), r"edges\[0\] is \[0, 0\]"),
     "shuffled edges": (lambda b: random.Random(27).shuffle(b["edges"]), r"edges\[\d+\] is"),
     "unknown type": (lambda b: b["vertices"][-1].update(type="z"),
-                     "type 'z' is neither a vertex nor a '\\+'-joined fiber"),
+                     "type 'z' is not a vertex of the diagram"),
     "vertex inside a fiber": (lambda b: b["vertices"][0].update(type="a+c"),
-                              "type 'a' is neither a vertex"),
+                              "type 'a' is not a vertex of the diagram"),
     "overlapping fibers": (lambda b: [v.update(type=("a+b", "b+c")[v["id"] % 2])
                                       for v in b["vertices"]],
                            "vertex 'b' in two groups"),
